@@ -1,6 +1,6 @@
 .PHONY: all build test lint check scenarios fuzz bench-shard bench-net \
 	bench-faults bench-obs bench-workload bench-scenario bench-dist \
-	bench-all clean
+	bench-all perfbench clean
 
 all: build
 
@@ -74,6 +74,13 @@ bench-all:
 	dune exec bin/jsonlint.exe -- \
 		BENCH_shard.json BENCH_faults.json BENCH_net.json BENCH_obs.json \
 		BENCH_workload.json BENCH_scenario.json BENCH_dist.json
+
+# The repository benchmark declared in BENCHMARK.json: both workloads,
+# end-to-end metrics, seed 101, about 45 s each (see README "Benchmark").
+# Each run exits non-zero on a build failure, crash or malformed result.
+perfbench:
+	python3 perfbench/run.py --workload closed-expander --seed 101 --seconds 45 --trace 0
+	python3 perfbench/run.py --workload open-torus --seed 101 --seconds 45 --trace 0
 
 clean:
 	dune clean

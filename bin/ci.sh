@@ -309,4 +309,16 @@ dune exec bin/jsonlint.exe -- \
   "$bench_json/BENCH_dist.json"
 rm -rf "$bench_json"
 
+echo "== perfbench smoke: open-torus end to end for 2 s =="
+# Builds and runs the repository benchmark's open-system workload.  The
+# script exits non-zero on a build failure, a crash or a malformed
+# result line; a failed output check (conservation, replay, band) shows
+# up as "correct": false on that line.
+perf=$(python3 perfbench/run.py --workload open-torus --seed 101 --seconds 2 --trace 0)
+echo "$perf" | tail -n 1 | grep -q '"correct": true' || {
+  echo "perfbench open-torus smoke failed its output checks" >&2
+  echo "$perf" >&2
+  exit 1
+}
+
 echo "== ci.sh: all green =="

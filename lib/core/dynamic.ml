@@ -47,8 +47,11 @@ let run ?(departure = No_departure) ~graph ~balancer ~injection ~init ~rounds ()
       Workload.Lifetime.uniform_attempts ~rng ~per_round
   in
   let stepper ~round:_ loads =
-    let r = Engine.run ~graph ~balancer ~init:loads ~steps:1 () in
-    { Workload.Engine.loads = r.Engine.final_loads; injected = 0; lost = 0 }
+    {
+      Workload.Engine.loads = Engine.step ~graph ~balancer ~step:1 loads;
+      injected = 0;
+      lost = 0;
+    }
   in
   let config =
     Workload.Engine.config ~probe_label:"dynamic" ~arrival ~lifetime ~rounds ()

@@ -18,17 +18,88 @@ let scan_discrepancy_and_min loads =
   done;
   (!hi - !lo, !lo)
 
-let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
-    ~balancer ~init ~steps () =
-  let n = Graphs.Graph.n graph in
+let check_shape ~fn ~graph ~balancer loads =
   let d = Graphs.Graph.degree graph in
   if balancer.Balancer.degree <> d then
     invalid_arg
-      (Printf.sprintf "Engine.run: balancer %s built for degree %d, graph has %d"
+      (Printf.sprintf "Engine.%s: balancer %s built for degree %d, graph has %d" fn
          balancer.Balancer.name balancer.Balancer.degree d);
-  if Array.length init <> n then invalid_arg "Engine.run: init length mismatch";
+  if Array.length loads <> Graphs.Graph.n graph then
+    invalid_arg (Printf.sprintf "Engine.%s: init length mismatch" fn)
+
+(* One synchronous round from [cur] into [next], which must hold zeros:
+   every node's assignment is validated and routed.  The only copy of
+   the assign → validate → route loop; [run] and [step] both drive it.
+   Returns the tokens that left their node when [probing], else 0. *)
+let round_into ~balancer ~adj ~d ~ports ~tracker ~probing ~step cur next =
+  let sp = Obs.Prof.start "core.assign" in
+  let dp = Array.length ports in
+  let moved = ref 0 in
+  for u = 0 to Array.length cur - 1 do
+    let x = cur.(u) in
+    balancer.Balancer.assign ~step ~node:u ~load:x ~ports;
+    (* Inline validation: conservation and non-negative sends. *)
+    let sum = ref 0 in
+    for k = 0 to dp - 1 do
+      sum := !sum + ports.(k);
+      if k < d && ports.(k) < 0 then
+        raise
+          (Invariant_violation
+             (Printf.sprintf
+                "%s: node %d step %d sends %d (< 0) on original port %d"
+                balancer.Balancer.name u step ports.(k) k))
+    done;
+    if !sum <> x then
+      raise
+        (Invariant_violation
+           (Printf.sprintf
+              "%s: node %d step %d assigned %d tokens of load %d"
+              balancer.Balancer.name u step !sum x));
+    (match tracker with
+     | Some tr -> Fairness.observe tr ~node:u ~load:x ~ports
+     | None -> ());
+    let base = u * d in
+    let kept = ref 0 in
+    for k = 0 to d - 1 do
+      let v = adj.(base + k) in
+      next.(v) <- next.(v) + ports.(k)
+    done;
+    for k = d to dp - 1 do
+      kept := !kept + ports.(k)
+    done;
+    if probing then moved := !moved + (x - !kept);
+    next.(u) <- next.(u) + !kept
+  done;
+  Obs.Prof.stop sp;
+  !moved
+
+let probe_round ~dp ~step ~moved ~disc ~mn loads =
+  Obs.Probe.on_round ~engine:"core" ~d_plus:dp ~step ~tokens_moved:moved
+    ~discrepancy:disc ~max_load:(mn + disc) ~min_load:mn ~loads
+
+let step ~graph ~balancer ~step loads =
+  check_shape ~fn:"step" ~graph ~balancer loads;
+  let dp = Balancer.d_plus balancer in
+  let probing = Obs.Probe.enabled () in
+  let next = Array.make (Array.length loads) 0 in
+  let moved =
+    round_into ~balancer ~adj:(Graphs.Graph.adjacency graph)
+      ~d:balancer.Balancer.degree ~ports:(Array.make dp 0) ~tracker:None ~probing
+      ~step loads next
+  in
+  if probing then begin
+    let disc, mn = scan_discrepancy_and_min next in
+    probe_round ~dp ~step ~moved ~disc ~mn next
+  end;
+  next
+
+let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
+    ~balancer ~init ~steps () =
+  check_shape ~fn:"run" ~graph ~balancer init;
   if steps < 0 then invalid_arg "Engine.run: negative step count";
   if sample_every <= 0 then invalid_arg "Engine.run: sample_every must be positive";
+  let n = Graphs.Graph.n graph in
+  let d = Graphs.Graph.degree graph in
   let dp = Balancer.d_plus balancer in
   let tracker =
     if audit then
@@ -40,7 +111,6 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
      node, and either way the dynamics are untouched (bit-identical
      results — property-tested in test_obs.ml). *)
   let probing = Obs.Probe.enabled () in
-  let moved = ref 0 in
   let cur = ref (Array.copy init) in
   let next = ref (Array.make n 0) in
   let ports = Array.make dp 0 in
@@ -56,46 +126,10 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
   (try
      for t = 1 to steps do
        if !reached <> None && stop_at_discrepancy <> None then raise Exit;
-       let sp = Obs.Prof.start "core.assign" in
-       moved := 0;
-       let cur_a = !cur and next_a = !next in
-       Array.fill next_a 0 n 0;
-       for u = 0 to n - 1 do
-         let x = cur_a.(u) in
-         balancer.Balancer.assign ~step:t ~node:u ~load:x ~ports;
-         (* Inline validation: conservation and non-negative sends. *)
-         let sum = ref 0 in
-         for k = 0 to dp - 1 do
-           sum := !sum + ports.(k);
-           if k < d && ports.(k) < 0 then
-             raise
-               (Invariant_violation
-                  (Printf.sprintf
-                     "%s: node %d step %d sends %d (< 0) on original port %d"
-                     balancer.Balancer.name u t ports.(k) k))
-         done;
-         if !sum <> x then
-           raise
-             (Invariant_violation
-                (Printf.sprintf
-                   "%s: node %d step %d assigned %d tokens of load %d"
-                   balancer.Balancer.name u t !sum x));
-         (match tracker with
-          | Some tr -> Fairness.observe tr ~node:u ~load:x ~ports
-          | None -> ());
-         let base = u * d in
-         let kept = ref 0 in
-         for k = 0 to d - 1 do
-           let v = adj.(base + k) in
-           next_a.(v) <- next_a.(v) + ports.(k)
-         done;
-         for k = d to dp - 1 do
-           kept := !kept + ports.(k)
-         done;
-         if probing then moved := !moved + (x - !kept);
-         next_a.(u) <- next_a.(u) + !kept
-       done;
-       Obs.Prof.stop sp;
+       Array.fill !next 0 n 0;
+       let moved =
+         round_into ~balancer ~adj ~d ~ports ~tracker ~probing ~step:t !cur !next
+       in
        let tmp = !cur in
        cur := !next;
        next := tmp;
@@ -103,9 +137,7 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
        let sp = Obs.Prof.start "core.scan" in
        let disc, mn = scan_discrepancy_and_min !cur in
        Obs.Prof.stop sp;
-       if probing then
-         Obs.Probe.on_round ~engine:"core" ~d_plus:dp ~step:t ~tokens_moved:!moved
-           ~discrepancy:disc ~max_load:(mn + disc) ~min_load:mn ~loads:!cur;
+       if probing then probe_round ~dp ~step:t ~moved ~disc ~mn !cur;
        if mn < !min_seen then min_seen := mn;
        if t mod sample_every = 0 || t = steps then series := (t, disc) :: !series;
        (* Round boundary: service any pending SIGUSR1 scrape request

@@ -51,6 +51,21 @@ val run :
     graph or [init] has the wrong length.
     @raise Invariant_violation on a misbehaving balancer. *)
 
+val step :
+  graph:Graphs.Graph.t -> balancer:Balancer.t -> step:int -> int array -> int array
+(** [step ~graph ~balancer ~step loads] executes one synchronous round,
+    calling the balancer with step number [step], and returns the new
+    load vector as a fresh array; [loads] is not mutated.  This is the
+    round kernel {!run} iterates: the same validation (and the same
+    {!Invariant_violation} messages), the same [core.assign] profiling
+    span and, when probes are enabled, the same per-round probe.  Its
+    only allocation is the returned array (plus the d⁺-sized port
+    buffer), so it is the cheap way to drive one round at a time, as the
+    open-system steppers do.
+    @raise Invalid_argument if the balancer's degree does not match the
+    graph or [loads] has the wrong length.
+    @raise Invariant_violation on a misbehaving balancer. *)
+
 val discrepancy_after :
   graph:Graphs.Graph.t -> balancer:Balancer.t -> init:int array -> steps:int -> int
 (** Convenience: final discrepancy of an unaudited run. *)

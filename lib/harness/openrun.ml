@@ -26,9 +26,15 @@ let plan_at plan ~round =
         else None)
     plan
 
+(* One Core.Engine round.  Every open-system round is the balancer's
+   step 1, so step-dependent schemes (mimic) see the same step number in
+   every round and seeded runs replay. *)
 let plain_step ~graph ~balancer loads =
-  let r = Core.Engine.run ~graph ~balancer ~init:loads ~steps:1 () in
-  { Workload.Engine.loads = r.Core.Engine.final_loads; injected = 0; lost = 0 }
+  {
+    Workload.Engine.loads = Core.Engine.step ~graph ~balancer ~step:1 loads;
+    injected = 0;
+    lost = 0;
+  }
 
 let stepper ?(mode = Plain) ~graph ~balancer () =
   match mode with

@@ -1,48 +1,59 @@
 (* SplitMix64, after Steele, Lea & Flood, "Fast splittable pseudorandom
    number generators" (OOPSLA 2014).  The golden-gamma constant and the
-   two finalizers are the reference ones. *)
+   two finalizers are the reference ones.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in an 8-byte buffer: reading and
+   writing it with [Bytes.get_int64_ne]/[set_int64_ne] compiles to plain
+   loads and stores, and with [mix64]/[advance] inlined the arithmetic
+   stays in registers, so [int], [bool] and the draw inside [float]
+   allocate nothing. *)
+
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_ne g 0 s;
+  g
 
-let copy g = { state = g.state }
+(* Step the state by the golden gamma and return the mixed output. *)
+let[@inline] advance g =
+  let s = Int64.add (Bytes.get_int64_ne g 0) golden_gamma in
+  Bytes.set_int64_ne g 0 s;
+  mix64 s
 
-let next64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix64 g.state
-
-let split g =
-  let s = next64 g in
-  { state = mix64 s }
+let create seed = of_state (mix64 (Int64.of_int seed))
+let copy = Bytes.copy
+let next64 g = advance g
+let split g = of_state (mix64 (advance g))
 
 let int g bound =
   if bound <= 0 then invalid_arg "Splitmix.int: bound must be positive";
   (* Rejection sampling on the top 62 bits to avoid modulo bias. *)
   let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let rec draw () =
-    let v = Int64.to_int (Int64.shift_right_logical (next64 g) 2) land mask in
-    let r = v mod bound in
-    if v - r + (bound - 1) < 0 then draw () else r
-  in
-  draw ()
+  let r = ref (-1) in
+  while !r < 0 do
+    let v = Int64.to_int (Int64.shift_right_logical (advance g) 2) land mask in
+    let x = v mod bound in
+    if v - x + (bound - 1) >= 0 then r := x
+  done;
+  !r
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Splitmix.int_in: empty range";
   lo + int g (hi - lo + 1)
 
-let bool g = Int64.logand (next64 g) 1L = 1L
+let bool g = Int64.logand (advance g) 1L = 1L
 
-let float g bound =
+let[@inline] float g bound =
   (* 53 uniform bits mapped into [0, 1). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (next64 g) 11) in
+  let bits = Int64.to_int (Int64.shift_right_logical (advance g) 11) in
   let u = float_of_int bits /. 9007199254740992.0 in
   u *. bound
 

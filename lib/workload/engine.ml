@@ -40,29 +40,6 @@ type result = {
 
 let total loads = Array.fold_left ( + ) 0 loads
 
-let discrepancy loads =
-  let mx = ref loads.(0) and mn = ref loads.(0) in
-  Array.iter
-    (fun x ->
-      if x > !mx then mx := x;
-      if x < !mn then mn := x)
-    loads;
-  !mx - !mn
-
-(* p99 node load over mean node load — the per-round overload factor.
-   1.0 means perfectly flat; large values mean a heavy tail of hot
-   nodes.  0.0 by convention when the system is empty. *)
-let overload loads =
-  let t = total loads in
-  if t = 0 then 0.0
-  else begin
-    let n = Array.length loads in
-    let sorted = Array.map float_of_int loads in
-    Array.sort Float.compare sorted;
-    let p99 = Steady.percentile sorted 99.0 in
-    p99 /. (float_of_int t /. float_of_int n)
-  end
-
 (* Steady window = series after the warm-up cutoff.  Fixed cutoffs are
    clamped to the series length; Auto uses MSER on the discrepancy
    trace (the quantity E17's band is about). *)
@@ -88,11 +65,27 @@ let run config ~init stepper =
     loads := step.loads;
     fault_injected := !fault_injected + step.injected;
     fault_lost := !fault_lost + step.lost;
-    let disc = discrepancy !loads in
-    let inflight = total !loads in
+    (* One fused scan for the extremes and the total. *)
+    let cur = !loads in
+    let mn = ref cur.(0) and mx = ref cur.(0) and inflight = ref 0 in
+    for u = 0 to n - 1 do
+      let x = cur.(u) in
+      if x < !mn then mn := x;
+      if x > !mx then mx := x;
+      inflight := !inflight + x
+    done;
+    let disc = !mx - !mn and inflight = !inflight in
     disc_series.(round - 1) <- (round, disc);
     inflight_series.(round - 1) <- (round, inflight);
-    overload_series.(round - 1) <- (round, overload !loads);
+    (* p99 node load over mean node load — the per-round overload
+       factor.  1.0 means perfectly flat; large values mean a heavy tail
+       of hot nodes.  0.0 by convention when the system is empty. *)
+    overload_series.(round - 1) <-
+      ( round,
+        if inflight = 0 then 0.0
+        else
+          Steady.int_percentile ~min:!mn ~max:!mx cur 99.0
+          /. (float_of_int inflight /. float_of_int n) );
     if Obs.Probe.enabled () then
       Obs.Probe.on_workload ~engine:config.probe_label ~round ~arrivals:a
         ~departures:d ~inflight ~discrepancy:disc;

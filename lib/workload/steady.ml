@@ -11,14 +11,65 @@ type summary = {
 let empty_summary =
   { count = 0; mean = 0.0; p50 = 0.0; p95 = 0.0; p99 = 0.0; p999 = 0.0; max = 0.0 }
 
+(* The p-th percentile of an n-sample sits at rank p/100·(n−1) of the
+   ascending order: it interpolates between the order statistics at
+   [lower n p] and [min (lower n p + 1) (n − 1)].  Float and integer
+   samples share these helpers, so they agree bit for bit. *)
+let[@inline] rank n p = p /. 100.0 *. float_of_int (n - 1)
+let[@inline] lower n p = int_of_float (floor (rank n p))
+
+let[@inline] interpolate n p a b =
+  let r = rank n p in
+  let frac = r -. floor r in
+  (a *. (1.0 -. frac)) +. (b *. frac)
+
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then invalid_arg "Steady.percentile: empty sample";
-  let rank = p /. 100.0 *. float_of_int (n - 1) in
-  let lo = int_of_float (floor rank) in
-  let hi = min (lo + 1) (n - 1) in
-  let frac = rank -. float_of_int lo in
-  (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+  let lo = lower n p in
+  interpolate n p sorted.(lo) sorted.(Int.min (lo + 1) (n - 1))
+
+let int_percentile ~min ~max xs p =
+  let n = Array.length xs in
+  if n = 0 then invalid_arg "Steady.int_percentile: empty sample";
+  let lo = lower n p in
+  let hi = Int.min (lo + 1) (n - 1) in
+  let a = ref 0 and b = ref 0 in
+  let range = max - min in
+  if range >= 0 && range < n then begin
+    (* Counting pass over [min, max], walked down from the top: index i
+       of the ascending order holds value v iff
+       n − #{≥ v} ≤ i < n − #{> v}.  A high percentile stops early. *)
+    let count = Array.make (range + 1) 0 in
+    for u = 0 to n - 1 do
+      let v = xs.(u) - min in
+      count.(v) <- count.(v) + 1
+    done;
+    let above = ref 0 and v = ref range and need_b = ref true in
+    while !v >= 0 do
+      let first = n - !above - count.(!v) in
+      if !need_b && first <= hi then begin
+        b := !v + min;
+        need_b := false
+      end;
+      if first <= lo then begin
+        a := !v + min;
+        v := -1
+      end
+      else begin
+        above := !above + count.(!v);
+        decr v
+      end
+    done
+  end
+  else begin
+    (* Wide range: sort an integer copy. *)
+    let c = Array.copy xs in
+    Array.sort Int.compare c;
+    a := c.(lo);
+    b := c.(hi)
+  end;
+  interpolate n p (float_of_int !a) (float_of_int !b)
 
 let summarize xs =
   let n = Array.length xs in

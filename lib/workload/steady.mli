@@ -26,6 +26,15 @@ val percentile : float array -> float -> float
     of an ascending-sorted sample.
     @raise Invalid_argument on an empty sample. *)
 
+val int_percentile : min:int -> max:int -> int array -> float -> float
+(** [int_percentile ~min ~max xs p] is [percentile] of the
+    ascending-sorted float copy of the (unsorted) integer sample [xs],
+    bit for bit, without boxing a float per element.  [min] and [max]
+    must be the sample's minimum and maximum.  When max − min < n it
+    makes one counting pass (its only allocation is a
+    (max − min + 1)-slot array); otherwise it sorts an integer copy.
+    @raise Invalid_argument on an empty sample. *)
+
 val summarize : float array -> summary
 (** Distribution summary of a (not necessarily sorted) sample;
     {!empty_summary} on an empty one. *)

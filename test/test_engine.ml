@@ -208,6 +208,94 @@ let prop_discrepancy_series_starts_at_initial =
       let r = Core.Engine.run ~graph:g ~balancer:bal ~init ~steps:5 () in
       Array.length r.Core.Engine.series > 0 && r.Core.Engine.series.(0) = (0, total))
 
+(* --- Core.Engine.step: the single-round kernel --- *)
+
+let violation_of f =
+  try
+    ignore (f ());
+    None
+  with Core.Engine.Invariant_violation m -> Some m
+
+let test_step_reports_like_run () =
+  (* Same kernel, same checks, same messages. *)
+  let g = Graphs.Gen.cycle 4 in
+  List.iter
+    (fun (label, make, init) ->
+      let via_run =
+        violation_of (fun () ->
+            Core.Engine.run ~graph:g ~balancer:(make g ~self_loops:1) ~init ~steps:1 ())
+      in
+      let via_step =
+        violation_of (fun () ->
+            Core.Engine.step ~graph:g ~balancer:(make g ~self_loops:1) ~step:1 init)
+      in
+      check_bool (label ^ ": detected") true (via_run <> None);
+      Alcotest.(check (option string)) (label ^ ": same message") via_run via_step)
+    [ ("leak", leaky, [| 4; 4; 4; 4 |]); ("negative send", negative_sender, [| 1; 1; 1; 1 |]) ];
+  check_bool "step: init length mismatch" true
+    (try
+       ignore
+         (Core.Engine.step ~graph:g ~balancer:(keep_all g ~self_loops:1) ~step:1 [| 1 |]);
+       false
+     with Invalid_argument _ -> true)
+
+(* Every balancer family of Table 1, each with a view of its mutable
+   state after the run: the persisted per-node state, the position of a
+   private random stream, or the quasirandom accumulator bound. *)
+let families =
+  let persisted b () =
+    match b.Core.Balancer.persist with
+    | Some p -> p.Core.Balancer.state_save ()
+    | None -> [||]
+  in
+  let with_state b = (b, persisted b) in
+  let seeded make g =
+    let rng = Prng.Splitmix.create 11 in
+    (make rng g ~self_loops:4, fun () -> [| Prng.Splitmix.int rng (1 lsl 30) |])
+  in
+  [
+    ("rotor-router", fun g _ -> with_state (Core.Rotor_router.make g ~self_loops:4));
+    ("rotor-router*", fun g _ -> with_state (Core.Rotor_router_star.make g));
+    ("send-floor", fun g _ -> with_state (Core.Send_floor.make g ~self_loops:1));
+    ("send-round", fun g _ -> with_state (Core.Send_round.make g ~self_loops:4));
+    ("random-extra", fun g _ -> seeded Baselines.Random_extra.make g);
+    ("random-rounding", fun g _ -> seeded Baselines.Random_rounding.make g);
+    ( "quasirandom",
+      fun g _ ->
+        let b, worst = Baselines.Quasirandom.make g ~self_loops:4 in
+        (b, fun () -> [| Int64.to_int (Int64.bits_of_float (worst ())) |]) );
+    ("mimic", fun g init -> with_state (Baselines.Mimic.make g ~self_loops:4 ~init));
+  ]
+
+let prop_step_iterates_to_run =
+  QCheck.Test.make ~count:25
+    ~name:"step iterated k times = run ~steps:k for every balancer family"
+    QCheck.(triple (int_range 4 20) (int_range 0 30) small_nat)
+    (fun (half, k, seed) ->
+      let n = 2 * half in
+      let g = Graphs.Gen.random_regular (Prng.Splitmix.create (seed + 1)) ~n ~d:4 in
+      let init =
+        Core.Loads.uniform_random (Prng.Splitmix.create (seed + 2)) ~n ~total:(37 * n)
+      in
+      let pristine = Array.copy init in
+      List.for_all
+        (fun (label, make) ->
+          let b_run, state_run = make g init in
+          let r = Core.Engine.run ~graph:g ~balancer:b_run ~init ~steps:k () in
+          let b_step, state_step = make g init in
+          let loads = ref init in
+          for t = 1 to k do
+            loads := Core.Engine.step ~graph:g ~balancer:b_step ~step:t !loads
+          done;
+          let ok =
+            r.Core.Engine.final_loads = !loads
+            && state_run () = state_step ()
+            && init = pristine
+          in
+          if not ok then QCheck.Test.fail_reportf "%s diverged after %d steps" label k;
+          ok)
+        families)
+
 let () =
   Alcotest.run "engine"
     [
@@ -223,6 +311,7 @@ let () =
           Alcotest.test_case "conservation enforced" `Quick test_conservation_enforced;
           Alcotest.test_case "negative send enforced" `Quick test_negative_send_enforced;
           Alcotest.test_case "degree mismatch" `Quick test_degree_mismatch_rejected;
+          Alcotest.test_case "step reports like run" `Quick test_step_reports_like_run;
         ] );
       ( "instrumentation",
         [
@@ -236,5 +325,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_conservation_under_rotor_router;
           QCheck_alcotest.to_alcotest prop_discrepancy_series_starts_at_initial;
+          QCheck_alcotest.to_alcotest prop_step_iterates_to_run;
         ] );
     ]

@@ -61,6 +61,163 @@ let test_splitmix_stream_golden () =
     [ 70; 97; 85; 91; 89 ]
     (List.init 5 (fun _ -> Prng.Splitmix.int g 100))
 
+(* Longer pins of each SplitMix64 entry point, one fresh seed per
+   stream.  [int61]'s bound 2⁶¹ + 1 makes the rejection branch of [int]
+   fire on roughly half the draws. *)
+let test_splitmix_next64_golden () =
+  let g = Prng.Splitmix.create 2015 in
+  Alcotest.(check (list int64))
+    "splitmix(2015) next64 stream"
+    [
+      -2887974576641807100L; -3658240345682240554L; -78742318324972886L;
+      -2878072549678396843L; 1849243781608787463L; 1434140862943707564L;
+      -7714609865105405227L; 2899490407156606700L; 5953458736505772031L;
+      5244371949763279178L; -7894052186202790415L; 6959930321513910379L;
+      7771566699719257732L; 4268266691507824153L; 4888304698928178051L;
+      -7025951998949199964L; -73704914734580704L; 2470310508039993187L;
+      -6364803644211741456L; 4778924760697548408L;
+    ]
+    (List.init 20 (fun _ -> Prng.Splitmix.next64 g))
+
+let bits = List.map Int64.bits_of_float
+
+let test_splitmix_float_golden () =
+  let g = Prng.Splitmix.create 2016 in
+  Alcotest.(check (list int64))
+    "splitmix(2016) float-1.0 stream (bit patterns)"
+    (bits
+       [
+         0x1.633adbc4530f9p-1; 0x1.3f6941b8f1512p-1; 0x1.7428ddd9a9494p-3;
+         0x1.ade81e16eb843p-1; 0x1.2de3af065cd7bp-1; 0x1.ea0e546d96654p-3;
+         0x1.72f9db40376ep-2; 0x1.19b140f6388e5p-1; 0x1.864c62ccaf484p-3;
+         0x1.42fe4cb4cf516p-2; 0x1.158813d12956fp-1; 0x1.b2772e6721c1bp-1;
+         0x1.4964d80c3361p-2; 0x1.4694a9639f613p-1; 0x1.3c56b13538d48p-3;
+         0x1.db8fe6e0ac633p-1; 0x1.39952921a39c2p-2; 0x1.5017dc36481f2p-1;
+         0x1.082ae0226f129p-1; 0x1.0bfb50943f06p-5;
+       ])
+    (bits (List.init 20 (fun _ -> Prng.Splitmix.float g 1.0)))
+
+let test_splitmix_int_golden () =
+  let g = Prng.Splitmix.create 2017 in
+  Alcotest.(check (list int))
+    "splitmix(2017) int-2^40 stream"
+    [
+      517308634541; 772304382024; 631600024046; 885213458013;
+      397426237906; 701782952924; 188250095892; 264668453478;
+      676362362185; 175822442025; 518414483005; 1042114761583;
+      421926030952; 625606710967; 233011077704; 194493512206;
+      604801244133; 838456227395; 744127704685; 844391548680;
+    ]
+    (List.init 20 (fun _ -> Prng.Splitmix.int g (1 lsl 40)));
+  let g = Prng.Splitmix.create 2019 in
+  Alcotest.(check (list int))
+    "splitmix(2019) int-(2^61+1) stream"
+    [
+      69724017669803393; 1241013013597818915; 191915478236780863;
+      1793448319285508592; 1290101110619903268; 879216950319299987;
+      1452272816622970346; 988355199544531897; 1703225017578903320;
+      1094082299914917247; 2138182562874612560; 1853392721774781454;
+      1937545803833316910; 2016142152184211410; 1845744009763564332;
+      1900170976170775110; 1274161199838667683; 753448164624015484;
+      399989067027589927; 228308714337035558;
+    ]
+    (List.init 20 (fun _ -> Prng.Splitmix.int g ((1 lsl 61) + 1)))
+
+let test_splitmix_bool_golden () =
+  let g = Prng.Splitmix.create 2018 in
+  Alcotest.(check (list bool))
+    "splitmix(2018) bool stream"
+    [
+      true; false; false; true; true;
+      false; true; false; true; false;
+      true; false; false; true; true;
+      true; true; true; false; true;
+    ]
+    (List.init 20 (fun _ -> Prng.Splitmix.bool g))
+
+let test_splitmix_split_copy_golden () =
+  (* g draws, splits h off, h is copied to c (c replays h's next draws),
+     c splits k off, then g resumes. *)
+  let g = Prng.Splitmix.create 2020 in
+  let draws r k = List.init k (fun _ -> Prng.Splitmix.int r 1000) in
+  let a = draws g 1 in
+  let h = Prng.Splitmix.split g in
+  let h1 = draws h 3 in
+  let c = Prng.Splitmix.copy h in
+  let c1 = draws c 3 in
+  let h2 = draws h 3 in
+  let k = Prng.Splitmix.split c in
+  let k1 = draws k 3 in
+  let g1 = draws g 3 in
+  Alcotest.(check (list int))
+    "splitmix(2020) split/copy sequence"
+    [ 479; 690; 543; 186; 49; 322; 892; 49; 322; 892; 426; 578; 469; 9; 252; 482 ]
+    (List.concat [ a; h1; c1; h2; k1; g1 ])
+
+(* A small open system: Poisson arrivals at 90% of the service
+   capacity plus a flash crowd wide enough to push max − min past n, so
+   both the counting and the selection branch of the p99 run. *)
+let test_open_system_golden () =
+  let graph = Graphs.Gen.torus [ 8; 8 ] in
+  let balancer = Core.Rotor_router.make graph ~self_loops:4 in
+  let arrival =
+    Workload.Arrival.overlay
+      (Workload.Arrival.poisson ~rng:(Prng.Splitmix.create 17) ~rate:115.2)
+      (Workload.Arrival.flash_crowd ~at:8 ~size:512 ~node:3 ())
+  in
+  let lifetime = Workload.Lifetime.service ~rate:2 in
+  let config = Workload.Engine.config ~arrival ~lifetime ~rounds:64 () in
+  let r =
+    Harness.Openrun.run ~config ~graph ~balancer ~init:(Array.make 64 0) ()
+  in
+  Alcotest.(check (list int64))
+    "overload series (bit patterns)"
+    (bits
+       [
+         0x1.f07c1f07c1f08p+1; 0x1.ce434a9b1016ep+1; 0x1.dd937fe41cc16p+1;
+         0x1.af72015d867bcp+1; 0x1.8618618618618p+1; 0x1.19b4597179d59p+2;
+         0x1.cfb2b78c13522p+1; 0x1.e3e499635dp+3; 0x1.6a5a1adf9803fp+3;
+         0x1.1879e1879e18p+3; 0x1.ce9073882cf57p+2; 0x1.8a506f99e595p+2;
+         0x1.56f6f6f6f6f6ap+2; 0x1.39d15cab47b7ep+2; 0x1.14b203f47cc24p+2;
+         0x1.ed99999999996p+1; 0x1.c6320c7b5d5f1p+1; 0x1.9f4ebb0182c5p+1;
+         0x1.865836381e925p+1; 0x1.5c4a368326622p+1; 0x1.4c4a4ba01270cp+1;
+         0x1.362a31088d661p+1; 0x1.1f77d73a1ec44p+1; 0x1.3f8c295b51269p+1;
+         0x1.34f94ec682c81p+1; 0x1.344d1344d1345p+1; 0x1.3728077280771p+1;
+         0x1.1e99bfd03bb56p+1; 0x1.1536202ecfb9bp+1; 0x1.05f417d05f418p+1;
+         0x1.04707661aa2c6p+1; 0x1.ddaaea5b0e2e4p+0; 0x1.b620c7f544ee7p+0;
+         0x1.ba5e353f7ced7p+0; 0x1.bd3d92af46e1bp+0; 0x1.bd3d92af46e1bp+0;
+         0x1.bd3d92af46e1bp+0; 0x1.9ab6ed42f170cp+0; 0x1.c49674ffe60b6p+0;
+         0x1.af286bca1af28p+0; 0x1.9d871576403ebp+0; 0x1.b5bd8ea80fa23p+0;
+         0x1.cac083126e979p+0; 0x1.a5e7d40d2f3eap+0; 0x1.c0e070381c0ep+0;
+         0x1.da642a730f73dp+0; 0x1.e808b70344a14p+0; 0x1.ea1ea1ea1ea1fp+0;
+         0x1.c93a581c93a58p+0; 0x1.b7e90ff972471p+0; 0x1.fc9122beb66ccp+0;
+         0x1.1111111111111p+1; 0x1.6895114a5dab9p+1; 0x1.1111111111111p+1;
+         0x1.3fa2608c6f2d2p+1; 0x1.3fa2608c6f2d2p+1; 0x1.904f62ea91e45p+1;
+         0x1.74e81b4e81b4bp+1; 0x1.6db6db6db6db7p+1; 0x1.4afd6a052bf5bp+1;
+         0x1.f3831f3831f38p+1; 0x1.8f9c18f9c18fap+1; 0x1.9ec8e951033d9p+1;
+         0x1.6816816816817p+1;
+       ])
+    (bits (Array.to_list (Array.map snd r.Workload.Engine.overload_series)));
+  let s = r.Workload.Engine.steady_overload in
+  Alcotest.(check int) "steady overload count" 32 s.Workload.Steady.count;
+  Alcotest.(check (list int64))
+    "steady overload mean, p50, p95, p99, p999, max (bit patterns)"
+    (bits
+       [
+         0x1.18261eccce15cp+1; 0x1.e13670bb2a0a8p+0; 0x1.96d2df6578194p+1;
+         0x1.d93f281c0c6e7p+1; 0x1.f0e2b9b56166ap+1; 0x1.f3831f3831f38p+1;
+       ])
+    (bits
+       Workload.Steady.[ s.mean; s.p50; s.p95; s.p99; s.p999; s.max ]);
+  check_loads "final loads"
+    [|
+      1; 0; 1; 4; 2; 0; 1; 1; 2; 1; 1; 2; 1; 0; 3; 3;
+      2; 1; 1; 2; 3; 0; 1; 2; 2; 0; 3; 1; 3; 3; 1; 4;
+      0; 0; 2; 1; 1; 3; 3; 1; 3; 2; 3; 1; 3; 2; 1; 1;
+      2; 0; 1; 1; 0; 2; 1; 1; 0; 0; 0; 1; 1; 1; 1; 0;
+    |]
+    r.Workload.Engine.final_loads
+
 let () =
   (* Guard: if the pinned PRNG stream ever changes, regenerate ALL seeded
      goldens, not just the failing one. *)
@@ -79,5 +236,13 @@ let () =
         [
           Alcotest.test_case "random-extra seed 7" `Quick test_random_extra_seeded;
           Alcotest.test_case "splitmix stream" `Quick test_splitmix_stream_golden;
+          Alcotest.test_case "splitmix next64" `Quick test_splitmix_next64_golden;
+          Alcotest.test_case "splitmix float" `Quick test_splitmix_float_golden;
+          Alcotest.test_case "splitmix int" `Quick test_splitmix_int_golden;
+          Alcotest.test_case "splitmix bool" `Quick test_splitmix_bool_golden;
+          Alcotest.test_case "splitmix split/copy" `Quick
+            test_splitmix_split_copy_golden;
         ] );
+      ( "open system",
+        [ Alcotest.test_case "torus 8x8, 64 rounds" `Quick test_open_system_golden ] );
     ]

@@ -325,6 +325,38 @@ let test_sigusr1_deferred_to_poll () =
       check_bool "poll without a request writes nothing" false
         (Sys.file_exists path))
 
+let test_step_probe_matches_run () =
+  (* Core.Engine.step emits the same per-round core probe as run. *)
+  let g = Graphs.Gen.torus [ 4; 4 ] in
+  let init = Core.Loads.point_mass ~n:16 ~total:1000 in
+  let observe drive =
+    let registry = Obs.Metrics.create () in
+    Obs.Probe.enable ~registry ~every:1 ();
+    Fun.protect ~finally:Obs.Probe.disable (fun () ->
+        drive (Core.Rotor_router.make g ~self_loops:4);
+        let labels = [ ("engine", "core") ] in
+        let gauge name = Obs.Metrics.gauge_value (Obs.Metrics.gauge ~registry ~labels name) in
+        ( Obs.Metrics.counter_value (Obs.Metrics.counter ~registry ~labels "lb_rounds_total"),
+          Obs.Metrics.counter_value
+            (Obs.Metrics.counter ~registry ~labels "lb_tokens_moved_total"),
+          List.map gauge [ "lb_discrepancy"; "lb_load_max"; "lb_load_min" ],
+          Array.map (fun s -> (s.Obs.Probe.step, s.Obs.Probe.phi)) (Obs.Probe.timeline ()) ))
+  in
+  let via_run =
+    observe (fun balancer -> ignore (Core.Engine.run ~graph:g ~balancer ~init ~steps:7 ()))
+  in
+  let via_step =
+    observe (fun balancer ->
+        let loads = ref init in
+        for t = 1 to 7 do
+          loads := Core.Engine.step ~graph:g ~balancer ~step:t !loads
+        done)
+  in
+  let rounds, moved, _, _ = via_step in
+  check_int "every step counted" 7 rounds;
+  check_bool "tokens moved" true (moved > 0);
+  check_bool "same probe readings as run" true (via_run = via_step)
+
 (* --- Probes only observe: engines are bit-identical on/off --- *)
 
 let with_probes_off f =
@@ -428,6 +460,54 @@ let equiv_net =
       in
       with_probes_off run = with_probes_on run)
 
+(* The open-system stepper path: Core.Engine.step driven round by round
+   under live arrivals and departures, on its own and composed with a
+   mid-run crash. *)
+let equiv_stepper =
+  QCheck.Test.make ~count:20 ~name:"open-system stepper bit-identical with probes on"
+    QCheck.(triple (int_range 3 6) (int_range 10 40) small_nat)
+    (fun (side, rounds, seed) ->
+      let g = Graphs.Gen.torus [ side; side ] in
+      let n = Graphs.Graph.n g in
+      let run mode () =
+        let arrival =
+          Workload.Arrival.overlay
+            (Workload.Arrival.poisson ~rng:(Prng.Splitmix.create seed)
+               ~rate:(1.8 *. float_of_int n))
+            (Workload.Arrival.flash_crowd ~at:3 ~size:(8 * n) ~node:(seed mod n) ())
+        in
+        let config =
+          Workload.Engine.config ~arrival
+            ~lifetime:(Workload.Lifetime.service ~rate:2) ~rounds ()
+        in
+        let r =
+          Harness.Openrun.run ~mode ~config ~graph:g
+            ~balancer:(Core.Rotor_router.make g ~self_loops:4)
+            ~init:(Array.make n 0) ()
+        in
+        ( r.Workload.Engine.final_loads,
+          r.Workload.Engine.discrepancy_series,
+          r.Workload.Engine.inflight_series,
+          Array.map (fun (_, x) -> Int64.bits_of_float x) r.Workload.Engine.overload_series )
+      in
+      let crash =
+        [
+          {
+            Faults.Schedule.step = 1 + (rounds / 2);
+            event =
+              Faults.Schedule.Crash
+                {
+                  node = seed mod n;
+                  state = Faults.Schedule.Wipe_state;
+                  tokens = Faults.Schedule.Spill_tokens;
+                };
+          };
+        ]
+      in
+      List.for_all
+        (fun mode -> with_probes_off (run mode) = with_probes_on (run mode))
+        [ Harness.Openrun.Plain; Harness.Openrun.Faulty { plan = crash } ])
+
 let () =
   Alcotest.run "obs"
     [
@@ -447,6 +527,8 @@ let () =
           Alcotest.test_case "potentials match Core.Potential" `Quick
             test_probe_potentials_match_core;
           Alcotest.test_case "cadence and sink" `Quick test_probe_cadence_and_sink;
+          Alcotest.test_case "step emits the core probe" `Quick
+            test_step_probe_matches_run;
         ] );
       ( "export",
         [
@@ -461,5 +543,6 @@ let () =
           QCheck_alcotest.to_alcotest equiv_core;
           QCheck_alcotest.to_alcotest equiv_faults;
           QCheck_alcotest.to_alcotest equiv_net;
+          QCheck_alcotest.to_alcotest equiv_stepper;
         ] );
     ]

@@ -368,6 +368,71 @@ let prop_replay_bit_identical =
       && a.E.total_arrivals = b.E.total_arrivals
       && a.E.total_departures = b.E.total_departures)
 
+(* Integer samples of every shape the per-round p99 meets, each paired
+   with a percentile.  Shape 0 keeps max − min < n (the counting pass);
+   shapes 1 and 2 spread wider than n (the selection fallback, on random
+   and on sorted or reversed input); then n = 1, all-equal loads, and
+   the empty system (all zeros, or a zero total from negative loads). *)
+let int_sample =
+  let open QCheck.Gen in
+  let sample =
+    pair (int_range 0 6) (int_range 1 200) >>= fun (shape, n) ->
+    match shape with
+    | 0 ->
+      int_range (-50) 50 >>= fun base ->
+      array_repeat n (int_range base (base + n - 1))
+    | 1 -> array_repeat n (int_range (-1_000_000_000) 1_000_000_000)
+    | 2 ->
+      pair bool (array_repeat n (int_range 0 (1 lsl 40))) >|= fun (rev, xs) ->
+      Array.sort (if rev then fun a b -> Int.compare b a else Int.compare) xs;
+      xs
+    | 3 -> int_range (-5) 1000 >|= fun x -> [| x |]
+    | 4 -> int_range (-5) 1000 >|= fun x -> Array.make n x
+    | 5 -> return (Array.make n 0)
+    | _ -> int_range 0 100 >|= fun x -> [| x; -x |]
+  in
+  let p = oneof [ oneofl [ 0.0; 1.0; 50.0; 95.0; 99.0; 99.9; 100.0 ]; float_range 0.0 100.0 ] in
+  QCheck.make
+    ~print:(fun (xs, p) ->
+      Printf.sprintf "p=%h [|%s|]" p
+        (String.concat "; " (Array.to_list (Array.map string_of_int xs))))
+    (pair sample p)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [S.int_percentile] with the extremes it expects the caller to know. *)
+let int_pct xs p =
+  S.int_percentile
+    ~min:(Array.fold_left Int.min xs.(0) xs)
+    ~max:(Array.fold_left Int.max xs.(0) xs)
+    xs p
+
+let prop_int_percentile_matches_sort =
+  QCheck.Test.make ~count:500
+    ~name:"int_percentile = percentile of the sorted float copy, bit for bit"
+    int_sample
+    (fun (xs, p) ->
+      let sorted = Array.map float_of_int xs in
+      Array.sort Float.compare sorted;
+      same_bits (S.percentile sorted p) (int_pct xs p)
+      && same_bits (S.percentile sorted 99.0) (int_pct xs 99.0))
+
+let test_int_percentile_edges () =
+  check_bool "empty sample raises" true 
+    (raises (fun () -> S.int_percentile ~min:0 ~max:0 [||] 99.0));
+  let empty =
+    E.run
+      (E.config ~arrival:(A.point ~node:0 ~per_round:0) ~lifetime:L.immortal ~rounds:5 ())
+      ~init:(Array.make 9 0)
+      (fun ~round:_ loads -> { E.loads = Array.copy loads; injected = 0; lost = 0 })
+  in
+  check_bool "empty system: overload 0.0" true
+    (Array.for_all (fun (_, x) -> same_bits x 0.0) empty.E.overload_series);
+  Alcotest.(check (float 0.0)) "p90 of 1..5" 4.6 (int_pct [| 5; 3; 1; 4; 2 |] 90.0);
+  Alcotest.(check (float 0.0))
+    "p90 of a wide sample" 4.6e12
+    (int_pct [| 5_000_000_000_000; 3; 1; 4_000_000_000_000; 2 |] 90.0)
+
 let () =
   Alcotest.run "workload"
     [
@@ -376,6 +441,7 @@ let () =
           Alcotest.test_case "percentile: known values" `Quick test_percentile_known;
           Alcotest.test_case "percentile: empty raises" `Quick
             test_percentile_empty_raises;
+          Alcotest.test_case "int percentile: edges" `Quick test_int_percentile_edges;
           Alcotest.test_case "summarize: known values" `Quick test_summarize_known;
           Alcotest.test_case "summarize: empty is zero" `Quick
             test_summarize_empty_is_zero;
@@ -423,5 +489,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_conservation_across_families;
           QCheck_alcotest.to_alcotest prop_replay_bit_identical;
+          QCheck_alcotest.to_alcotest prop_int_percentile_matches_sort;
         ] );
     ]
