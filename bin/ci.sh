@@ -321,4 +321,14 @@ echo "$perf" | tail -n 1 | grep -q '"correct": true' || {
   exit 1
 }
 
+echo "== perfbench smoke: closed-expander end to end for 2 s =="
+# The only CI path that builds a 2^18-node random 8-regular graph end to
+# end (pairing, repair, connectivity check) and then balances on it.
+perf=$(python3 perfbench/run.py --workload closed-expander --seed 101 --seconds 2 --trace 0)
+echo "$perf" | tail -n 1 | grep -q '"correct": true' || {
+  echo "perfbench closed-expander smoke failed its output checks" >&2
+  echo "$perf" >&2
+  exit 1
+}
+
 echo "== ci.sh: all green =="

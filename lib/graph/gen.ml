@@ -112,49 +112,87 @@ let petersen () =
 
 (* --- Random regular graphs: pairing model with swap repair. --- *)
 
-type pairing = { a : int array; b : int array }
+(* The repair's multiset of unordered pairs {u, v}: an open-addressing
+   table of counts keyed by [min u v * n + max u v], with a
+   multiplicative hash and linear probing.  [cells] interleaves key and
+   count; key -1 marks an empty cell.  A key whose count drops to 0 is
+   deleted by shifting the rest of its probe run back, so no tombstones
+   pile up: at most m keys are ever present and the capacity is at least
+   2m.  The table only answers count queries, so its layout never
+   reaches any output. *)
+type pair_counts = { n : int; bits : int; cells : int array }
 
-let edge_key u v = if u < v then (u, v) else (v, u)
+let pair_key t u v = if u < v then (u * t.n) + v else (v * t.n) + u
 
-let build_multiset pairing =
-  let h = Hashtbl.create (Array.length pairing.a * 2) in
-  Array.iteri
-    (fun i u ->
-      let v = pairing.b.(i) in
-      let k = edge_key u v in
-      Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)))
-    pairing.a;
-  h
+let home t key = (key * 0x2545F4914F6CDD1D) lsr (63 - t.bits)
 
-(* Badness of a pair already counted in the multiset: a loop, or a
-   parallel edge (its key appears more than once). *)
-let pair_is_bad multiset u v =
-  u = v
-  || match Hashtbl.find_opt multiset (edge_key u v) with
-     | Some c -> c > 1
-     | None -> false
+let next_cell t s = (s + 1) land ((1 lsl t.bits) - 1)
 
-(* Badness of a pair about to be added: a loop, or any existing copy. *)
-let would_be_bad multiset u v =
-  u = v || Hashtbl.mem multiset (edge_key u v)
+(* The cell holding [key], or the empty cell where it would go. *)
+let rec probe t key s =
+  let k = t.cells.(2 * s) in
+  if k = key || k = -1 then s else probe t key (next_cell t s)
 
-let multiset_remove h u v =
-  let k = edge_key u v in
-  match Hashtbl.find_opt h k with
-  | Some 1 -> Hashtbl.remove h k
-  | Some c -> Hashtbl.replace h k (c - 1)
-  | None -> ()
+let find_cell t key = probe t key (home t key)
 
-let multiset_add h u v =
-  let k = edge_key u v in
-  Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k))
+let count t u v =
+  let key = pair_key t u v in
+  let s = find_cell t key in
+  if t.cells.(2 * s) = key then t.cells.((2 * s) + 1) else 0
+
+let add t u v =
+  let key = pair_key t u v in
+  let s = find_cell t key in
+  if t.cells.(2 * s) = key then t.cells.((2 * s) + 1) <- t.cells.((2 * s) + 1) + 1
+  else begin
+    t.cells.(2 * s) <- key;
+    t.cells.((2 * s) + 1) <- 1
+  end
+
+(* Empty cell [hole], then walk on through its run: a later key may
+   move back into the hole unless its home lies cyclically in
+   (hole, s], where the move would put it before its home. *)
+let rec close_hole t hole s =
+  let s = next_cell t s in
+  let k = t.cells.(2 * s) in
+  if k = -1 then t.cells.(2 * hole) <- -1
+  else begin
+    let h = home t k in
+    let stays = if hole < s then hole < h && h <= s else hole < h || h <= s in
+    if stays then close_hole t hole s
+    else begin
+      t.cells.(2 * hole) <- k;
+      t.cells.((2 * hole) + 1) <- t.cells.((2 * s) + 1);
+      close_hole t s s
+    end
+  end
+
+let remove t u v =
+  let key = pair_key t u v in
+  let s = find_cell t key in
+  if t.cells.(2 * s) = key then
+    if t.cells.((2 * s) + 1) > 1 then t.cells.((2 * s) + 1) <- t.cells.((2 * s) + 1) - 1
+    else close_hole t s s
+
+let pair_counts ~n a b =
+  let m = Array.length a in
+  let bits = ref 1 in
+  while 1 lsl !bits < 2 * m do
+    incr bits
+  done;
+  let t = { n; bits = !bits; cells = Array.make (2 lsl !bits) (-1) } in
+  Array.iteri (fun i u -> add t u b.(i)) a;
+  t
 
 (* Repeatedly resolve loops / parallel edges by swapping endpoints with a
    random other pair; accepted only if it strictly reduces badness. *)
-let repair rng pairing =
-  let m = Array.length pairing.a in
-  let multiset = build_multiset pairing in
-  let bad i = pair_is_bad multiset pairing.a.(i) pairing.b.(i) in
+let repair rng ~n a b =
+  let m = Array.length a in
+  let multiset = pair_counts ~n a b in
+  (* A loop, or a parallel edge (its pair is counted more than once). *)
+  let bad i = a.(i) = b.(i) || count multiset a.(i) b.(i) > 1 in
+  (* A pair about to be added: a loop, or any existing copy. *)
+  let would_be_bad u v = u = v || count multiset u v > 0 in
   let budget = ref (200 * m) in
   let rec fix_one i =
     if !budget <= 0 then false
@@ -163,27 +201,27 @@ let repair rng pairing =
       let j = Prng.Splitmix.int rng m in
       if j = i then fix_one i
       else begin
-        let u1 = pairing.a.(i) and v1 = pairing.b.(i) in
-        let u2 = pairing.a.(j) and v2 = pairing.b.(j) in
+        let u1 = a.(i) and v1 = b.(i) in
+        let u2 = a.(j) and v2 = b.(j) in
         (* Propose the swap (u1,v1),(u2,v2) -> (u1,v2),(u2,v1). *)
-        multiset_remove multiset u1 v1;
-        multiset_remove multiset u2 v2;
+        remove multiset u1 v1;
+        remove multiset u2 v2;
         let ok =
-          (not (would_be_bad multiset u1 v2))
-          && (not (would_be_bad multiset u2 v1))
+          (not (would_be_bad u1 v2))
+          && (not (would_be_bad u2 v1))
           && u1 <> v2 && u2 <> v1
-          && edge_key u1 v2 <> edge_key u2 v1
+          && pair_key multiset u1 v2 <> pair_key multiset u2 v1
         in
         if ok then begin
-          pairing.b.(i) <- v2;
-          pairing.b.(j) <- v1;
-          multiset_add multiset u1 v2;
-          multiset_add multiset u2 v1;
+          b.(i) <- v2;
+          b.(j) <- v1;
+          add multiset u1 v2;
+          add multiset u2 v1;
           true
         end
         else begin
-          multiset_add multiset u1 v1;
-          multiset_add multiset u2 v2;
+          add multiset u1 v1;
+          add multiset u2 v2;
           fix_one i
         end
       end
@@ -205,15 +243,12 @@ let random_regular ?(max_attempts = 200) rng ~n ~d =
   if n * d mod 2 <> 0 then invalid_arg "Gen.random_regular: n * d must be even";
   let m = n * d / 2 in
   let attempt () =
-    let stubs = Array.concat (List.init n (fun u -> Array.make d u)) in
+    let stubs = Array.init (n * d) (fun i -> i / d) in
     Prng.Sample.shuffle rng stubs;
-    let pairing =
-      { a = Array.init m (fun i -> stubs.(2 * i));
-        b = Array.init m (fun i -> stubs.((2 * i) + 1)) }
-    in
-    if repair rng pairing then begin
-      let edges = List.init m (fun i -> (pairing.a.(i), pairing.b.(i))) in
-      let g = Graph.of_edges ~n edges in
+    let a = Array.init m (fun i -> stubs.(2 * i)) in
+    let b = Array.init m (fun i -> stubs.((2 * i) + 1)) in
+    if repair rng ~n a b then begin
+      let g = Graph.of_edge_arrays ~n a b in
       if Props.is_connected g then Some g else None
     end
     else None

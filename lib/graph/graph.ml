@@ -3,24 +3,25 @@ type t = {
   degree : int;
   adj : int array;      (* adj.(u * degree + k) = endpoint of port k of u *)
   rev : int array;      (* rev.(u * degree + k) = matching port at the endpoint *)
-  edge_list : (int * int) array;
+  src : int array;      (* edge i is (src.(i), dst.(i)), in the order given *)
+  dst : int array;
 }
 
-let of_edges ~n edges =
+let of_edge_arrays ~n a b =
   if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";
-  List.iter
-    (fun (u, v) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Graph.of_edges: endpoint out of range";
-      if u = v then invalid_arg "Graph.of_edges: self-edges are not allowed")
-    edges;
+  let m = Array.length a in
+  if Array.length b <> m then
+    invalid_arg "Graph.of_edge_arrays: endpoint arrays differ in length";
   let deg = Array.make n 0 in
-  List.iter
-    (fun (u, v) ->
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
-    edges;
-  let d = if n > 0 && Array.length deg > 0 then deg.(0) else 0 in
+  for i = 0 to m - 1 do
+    let u = a.(i) and v = b.(i) in
+    if u < 0 || u >= n || v < 0 || v >= n then
+      invalid_arg "Graph.of_edges: endpoint out of range";
+    if u = v then invalid_arg "Graph.of_edges: self-edges are not allowed";
+    deg.(u) <- deg.(u) + 1;
+    deg.(v) <- deg.(v) + 1
+  done;
+  let d = deg.(0) in
   Array.iteri
     (fun u du ->
       if du <> d then
@@ -31,22 +32,26 @@ let of_edges ~n edges =
   let adj = Array.make (n * d) (-1) in
   let rev = Array.make (n * d) (-1) in
   let next = Array.make n 0 in
-  List.iter
-    (fun (u, v) ->
-      let ku = next.(u) in
-      next.(u) <- ku + 1;
-      let kv = next.(v) in
-      next.(v) <- kv + 1;
-      adj.((u * d) + ku) <- v;
-      adj.((v * d) + kv) <- u;
-      rev.((u * d) + ku) <- kv;
-      rev.((v * d) + kv) <- ku)
-    edges;
-  { n; degree = d; adj; rev; edge_list = Array.of_list edges }
+  for i = 0 to m - 1 do
+    let u = a.(i) and v = b.(i) in
+    let ku = next.(u) in
+    next.(u) <- ku + 1;
+    let kv = next.(v) in
+    next.(v) <- kv + 1;
+    adj.((u * d) + ku) <- v;
+    adj.((v * d) + kv) <- u;
+    rev.((u * d) + ku) <- kv;
+    rev.((v * d) + kv) <- ku
+  done;
+  { n; degree = d; adj; rev; src = a; dst = b }
+
+let of_edges ~n edges =
+  let edges = Array.of_list edges in
+  of_edge_arrays ~n (Array.map fst edges) (Array.map snd edges)
 
 let n g = g.n
 let degree g = g.degree
-let edge_count g = Array.length g.edge_list
+let edge_count g = Array.length g.src
 
 let check_port g u k =
   if u < 0 || u >= g.n || k < 0 || k >= g.degree then
@@ -64,7 +69,7 @@ let reverse_port g u k =
   check_port g u k;
   g.rev.((u * g.degree) + k)
 
-let edges g = Array.copy g.edge_list
+let edges g = Array.init (Array.length g.src) (fun i -> (g.src.(i), g.dst.(i)))
 
 let directed_edge_index g u k =
   check_port g u k;

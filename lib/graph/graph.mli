@@ -17,8 +17,19 @@ val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds a graph on nodes [0 .. n-1] from
     undirected edges.  Every edge [(u, v)] contributes one port at [u]
     and one at [v]; ports are numbered in order of appearance.
+    A wrapper over {!of_edge_arrays}.
     @raise Invalid_argument on out-of-range endpoints, on [u = v], or if
     the resulting graph is not regular. *)
+
+val of_edge_arrays : n:int -> int array -> int array -> t
+(** [of_edge_arrays ~n a b] is [of_edges ~n] on the edges
+    [(a.(i), b.(i))], in index order: the same ports, the same reverse
+    ports, the same {!edges} order and the same [Invalid_argument]
+    messages.  It builds the graph without any tuple or list, so large
+    generators should call it directly.  The graph keeps [a] and [b] as
+    its edge list; the caller must not mutate them afterwards.
+    @raise Invalid_argument as {!of_edges}, or if [a] and [b] differ in
+    length. *)
 
 val n : t -> int
 (** Number of nodes. *)

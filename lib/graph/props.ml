@@ -1,17 +1,24 @@
 let bfs_distances g src =
   let n = Graph.n g in
   if src < 0 || src >= n then invalid_arg "Props.bfs_distances";
+  let d = Graph.degree g and adj = Graph.adjacency g in
   let dist = Array.make n max_int in
-  let q = Queue.create () in
+  (* Every node is enqueued at most once, so an n-slot array is the queue. *)
+  let queue = Array.make n src in
+  let head = ref 0 and tail = ref 1 in
   dist.(src) <- 0;
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    Graph.iter_ports g u (fun _ v ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v q
-        end)
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let du = dist.(u) + 1 in
+    for p = u * d to (u * d) + d - 1 do
+      let v = adj.(p) in
+      if dist.(v) = max_int then begin
+        dist.(v) <- du;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
   done;
   dist
 

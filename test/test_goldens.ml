@@ -154,6 +154,58 @@ let test_splitmix_split_copy_golden () =
     [ 479; 690; 543; 186; 49; 322; 892; 49; 322; 892; 426; 578; 469; 9; 252; 482 ]
     (List.concat [ a; h1; c1; h2; k1; g1 ])
 
+(* Digest of a graph's whole port structure: the flat adjacency, every
+   reverse port, and the edge list in its stored order. *)
+let graph_digest g =
+  let b = Buffer.create 4096 in
+  let add i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ' '
+  in
+  Array.iter add (Graphs.Graph.adjacency g);
+  for u = 0 to Graphs.Graph.n g - 1 do
+    for k = 0 to Graphs.Graph.degree g - 1 do
+      add (Graphs.Graph.reverse_port g u k)
+    done
+  done;
+  Array.iter
+    (fun (u, v) ->
+      add u;
+      add v)
+    (Graphs.Graph.edges g);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Seed-pinned random regular graphs.  The rng's next draw after the
+   build pins how many draws the pairing, the repair and the restarts
+   consumed.  (50, 20) repairs heavily; (10, 3) and (12, 5) are small
+   enough to restart. *)
+let test_random_regular_golden () =
+  List.iter
+    (fun (n, d, seed, digest, next) ->
+      let rng = Prng.Splitmix.create seed in
+      let g = Graphs.Gen.random_regular rng ~n ~d in
+      let name = Printf.sprintf "random_regular n=%d d=%d seed=%d" n d seed in
+      Alcotest.(check string) (name ^ " digest") digest (graph_digest g);
+      Alcotest.(check int64) (name ^ " next draw") next (Prng.Splitmix.next64 rng))
+    [
+      (50, 20, 1, "f7918e13ad283a16275bc56c2f0bf13f", -2967545296259427018L);
+      (50, 20, 2, "3e05a3e9b10c8e6aad4e9e5cd3dbb740", 4797402493842075885L);
+      (10, 3, 1, "21e860a1a00303a18401b42ddabbffef", 7485114837213641089L);
+      (10, 3, 7, "753f0167ad56984979f2948e25440225", 4727862545853145637L);
+      (12, 5, 3, "9ff0e9b94b544130ec04694bdf48cbdb", -8212947087056445887L);
+      (12, 5, 11, "006730156e68aeee7ca0ffab0ddbf163", -1712415665580914381L);
+      (1 lsl 14, 8, 2015, "6b60eadb19b9be529f547fde5b1d8e5b", 3695332237373117623L);
+    ]
+
+let test_deterministic_generators_golden () =
+  List.iter
+    (fun (name, g, digest) -> Alcotest.(check string) name digest (graph_digest g))
+    [
+      ("torus 256x256", Graphs.Gen.torus [ 256; 256 ], "a0eb6731748bdcd4235dafe3837e4d44");
+      ("hypercube 10", Graphs.Gen.hypercube 10, "17eea85926a4832314394a1682e5620f");
+      ("petersen", Graphs.Gen.petersen (), "5f65b370b790a2f6c3c24279352cd97a");
+    ]
+
 (* A small open system: Poisson arrivals at 90% of the service
    capacity plus a flash crowd wide enough to push max − min past n, so
    both the counting and the selection branch of the p99 run. *)
@@ -242,6 +294,12 @@ let () =
           Alcotest.test_case "splitmix bool" `Quick test_splitmix_bool_golden;
           Alcotest.test_case "splitmix split/copy" `Quick
             test_splitmix_split_copy_golden;
+        ] );
+      ( "graph generators",
+        [
+          Alcotest.test_case "random regular" `Quick test_random_regular_golden;
+          Alcotest.test_case "torus, hypercube, petersen" `Quick
+            test_deterministic_generators_golden;
         ] );
       ( "open system",
         [ Alcotest.test_case "torus 8x8, 64 rounds" `Quick test_open_system_golden ] );
