@@ -23,7 +23,7 @@ let d_plus b = b.degree + b.self_loops
 
 let resumable b = b.props.stateless || b.persist <> None
 
-let per_node_persistence arr =
+let per_node_persistence ~bound arr =
   Some
     {
       state_save = (fun () -> Array.copy arr);
@@ -31,6 +31,14 @@ let per_node_persistence arr =
         (fun saved ->
           if Array.length saved <> Array.length arr then
             invalid_arg "Balancer.state_restore: state length mismatch";
+          Array.iteri
+            (fun u x ->
+              if x < 0 || x >= bound then
+                invalid_arg
+                  (Printf.sprintf
+                     "Balancer.state_restore: node %d state %d outside [0, %d)" u x
+                     bound))
+            saved;
           Array.blit saved 0 arr 0 (Array.length arr));
     }
 

@@ -55,10 +55,15 @@ val resumable : t -> bool
 (** A balancer can be checkpoint-resumed iff it is stateless (nothing to
     save) or provides a {!persistence} capability. *)
 
-val per_node_persistence : int array -> persistence option
-(** [per_node_persistence arr] is the standard capability for a balancer
-    whose whole mutable state is the per-node int array [arr] (e.g. a
-    rotor position per node): save copies it, restore blits into it. *)
+val per_node_persistence : bound:int -> int array -> persistence option
+(** [per_node_persistence ~bound arr] is the standard capability for a
+    balancer whose whole mutable state is the per-node int array [arr],
+    every entry in [\[0, bound)] (e.g. a rotor position per node, with
+    [bound] the number of rotor positions): save copies it, restore
+    blits into it.  Restore raises [Invalid_argument] on a length
+    mismatch or an entry outside [\[0, bound)], before it changes
+    anything — so a corrupt checkpoint or snapshot is refused up front
+    instead of failing mid-run with an index error. *)
 
 val paper_deterministic : properties
 (** D ✓, SL ✗, NL ✓, NC ✓ — rotor-router-style. *)

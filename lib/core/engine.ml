@@ -30,7 +30,13 @@ let check_shape ~fn ~graph ~balancer loads =
 (* One synchronous round from [cur] into [next], which must hold zeros:
    every node's assignment is validated and routed.  The only copy of
    the assign → validate → route loop; [run] and [step] both drive it.
-   Returns the tokens that left their node when [probing], else 0. *)
+   Validation is fused with routing: one pass over the original ports
+   rejects a negative send, sums and scatters into [next]; a second pass
+   over the self-loop ports gives the kept tokens; conservation is
+   checked after both, so a negative original port is still reported
+   before a conservation failure.  On a violation [next] is left
+   partially written — both callers discard it.  Returns the tokens
+   that left their node when [probing], else 0. *)
 let round_into ~balancer ~adj ~d ~ports ~tracker ~probing ~step cur next =
   let sp = Obs.Prof.start "core.assign" in
   let dp = Array.length ports in
@@ -38,36 +44,34 @@ let round_into ~balancer ~adj ~d ~ports ~tracker ~probing ~step cur next =
   for u = 0 to Array.length cur - 1 do
     let x = cur.(u) in
     balancer.Balancer.assign ~step ~node:u ~load:x ~ports;
-    (* Inline validation: conservation and non-negative sends. *)
-    let sum = ref 0 in
-    for k = 0 to dp - 1 do
-      sum := !sum + ports.(k);
-      if k < d && ports.(k) < 0 then
+    let base = u * d in
+    let sent = ref 0 in
+    for k = 0 to d - 1 do
+      let p = ports.(k) in
+      if p < 0 then
         raise
           (Invariant_violation
              (Printf.sprintf
                 "%s: node %d step %d sends %d (< 0) on original port %d"
-                balancer.Balancer.name u step ports.(k) k))
+                balancer.Balancer.name u step p k));
+      sent := !sent + p;
+      let v = adj.(base + k) in
+      next.(v) <- next.(v) + p
     done;
-    if !sum <> x then
+    let kept = ref 0 in
+    for k = d to dp - 1 do
+      kept := !kept + ports.(k)
+    done;
+    if !sent + !kept <> x then
       raise
         (Invariant_violation
            (Printf.sprintf
               "%s: node %d step %d assigned %d tokens of load %d"
-              balancer.Balancer.name u step !sum x));
+              balancer.Balancer.name u step (!sent + !kept) x));
     (match tracker with
      | Some tr -> Fairness.observe tr ~node:u ~load:x ~ports
      | None -> ());
-    let base = u * d in
-    let kept = ref 0 in
-    for k = 0 to d - 1 do
-      let v = adj.(base + k) in
-      next.(v) <- next.(v) + ports.(k)
-    done;
-    for k = d to dp - 1 do
-      kept := !kept + ports.(k)
-    done;
-    if probing then moved := !moved + (x - !kept);
+    if probing then moved := !moved + !sent;
     next.(u) <- next.(u) + !kept
   done;
   Obs.Prof.stop sp;

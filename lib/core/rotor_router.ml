@@ -36,11 +36,25 @@ let make ?order ?init_rotor g ~self_loops =
   let d = Graphs.Graph.degree g in
   let dp = d + self_loops in
   let n = Graphs.Graph.n g in
-  let shared_default = default_order ~degree:d ~self_loops in
-  let orders =
+  (* Every order is stored twice over, order ++ order, so that for a
+     rotor r < dp and an excess e < dp the window [r, r + e) is one
+     contiguous slice: no index is reduced mod dp.  Node u's copy
+     starts at u·stride — stride 0 makes the default order one table
+     shared by every node. *)
+  let ord, stride =
     match order with
-    | None -> Array.make n shared_default
-    | Some f -> Array.init n (fun u -> validate_order ~d_plus:dp (Array.copy (f u)))
+    | None ->
+      let o = default_order ~degree:d ~self_loops in
+      (Array.append o o, 0)
+    | Some f ->
+      let stride = 2 * dp in
+      let ord = Array.make (n * stride) 0 in
+      for u = 0 to n - 1 do
+        let o = validate_order ~d_plus:dp (f u) in
+        Array.blit o 0 ord (u * stride) dp;
+        Array.blit o 0 ord ((u * stride) + dp) dp
+      done;
+      (ord, stride)
   in
   let rotor =
     Array.init n (fun u ->
@@ -55,15 +69,20 @@ let make ?order ?init_rotor g ~self_loops =
   let assign ~step:_ ~node ~load ~ports =
     if load < 0 then
       invalid_arg "Rotor_router: negative load (rotor-router never produces one)";
-    let q = load / dp and e = load mod dp in
-    Array.fill ports 0 dp q;
-    let ord = orders.(node) in
+    let q = load / dp in
+    let e = load - (q * dp) in
+    for k = 0 to dp - 1 do
+      ports.(k) <- q
+    done;
     let r = rotor.(node) in
-    for i = 0 to e - 1 do
-      let k = ord.((r + i) mod dp) in
+    let first = (node * stride) + r in
+    for i = first to first + e - 1 do
+      let k = ord.(i) in
       ports.(k) <- ports.(k) + 1
     done;
-    rotor.(node) <- (r + e) mod dp
+    (* r + e < 2·dp, so one compare and subtract brings it back. *)
+    let r' = r + e in
+    rotor.(node) <- (if r' >= dp then r' - dp else r')
   in
   {
     Balancer.name = Printf.sprintf "rotor-router(d°=%d)" self_loops;
@@ -71,5 +90,5 @@ let make ?order ?init_rotor g ~self_loops =
     self_loops;
     props = Balancer.paper_deterministic;
     assign;
-    persist = Balancer.per_node_persistence rotor;
+    persist = Balancer.per_node_persistence ~bound:dp rotor;
   }

@@ -30,6 +30,12 @@ val make :
     - [init_rotor u] is the starting rotor position of node [u] as an
       index into that order (default 0).
 
+    Every order is held twice over, so that one assignment reads its
+    extra ports as one contiguous slice.  The default order is one
+    table of 2·d⁺ ints shared by all nodes; custom orders cost 2·d⁺
+    ints per node.  The persisted state is the rotor vector, each entry
+    in [\[0, d⁺)]; restoring anything else raises [Invalid_argument].
+
     @raise Invalid_argument if an order is not a permutation or an
     initial rotor position is out of range. *)
 

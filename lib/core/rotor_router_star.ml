@@ -37,5 +37,5 @@ let make ?init_rotor g =
     self_loops = d;
     props = Balancer.paper_deterministic;
     assign;
-    persist = Balancer.per_node_persistence rotor;
+    persist = Balancer.per_node_persistence ~bound:rotor_ports rotor;
   }

@@ -453,8 +453,11 @@ let on_welcome t ~epoch ~round ~members ~use =
        || snap.Shard.Checkpoint.degree <> t.d
        || not (String.equal snap.Shard.Checkpoint.balancer_name t.balancer.Core.Balancer.name)
      then raise (Fatal (3, "checkpoint does not match this run's spec"));
+     (match restore_state t snap.Shard.Checkpoint.balancer_state with
+      | () -> ()
+      | exception Invalid_argument m ->
+        raise (Fatal (3, Printf.sprintf "checkpoint %s: %s" path m)));
      Array.blit snap.Shard.Checkpoint.loads 0 t.loads 0 t.n;
-     restore_state t snap.Shard.Checkpoint.balancer_state;
      logf t "restored %s (%s)" path (Msg.choice_name use));
   t.committed_state <- save_state t;
   (* Promote the restored state to the primary checkpoint so the next

@@ -5,8 +5,8 @@
    The 64-bit state lives unboxed in an 8-byte buffer: reading and
    writing it with [Bytes.get_int64_ne]/[set_int64_ne] compiles to plain
    loads and stores, and with [mix64]/[advance] inlined the arithmetic
-   stays in registers, so [int], [bool] and the draw inside [float]
-   allocate nothing. *)
+   stays in registers, so [int], [bool], [bits53] and the draw inside
+   [float] allocate nothing. *)
 
 type t = Bytes.t
 
@@ -51,10 +51,11 @@ let int_in g lo hi =
 
 let bool g = Int64.logand (advance g) 1L = 1L
 
+let[@inline] bits53 g = Int64.to_int (Int64.shift_right_logical (advance g) 11)
+
 let[@inline] float g bound =
   (* 53 uniform bits mapped into [0, 1). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (advance g) 11) in
-  let u = float_of_int bits /. 9007199254740992.0 in
+  let u = float_of_int (bits53 g) /. 9007199254740992.0 in
   u *. bound
 
 let bernoulli g p =

@@ -17,20 +17,30 @@ type t = src list
 
 (* Poisson additivity keeps Knuth's product-of-uniforms method in the
    regime where exp(-rate) is comfortably above the float underflow
-   threshold: rates above 30 are split in half recursively. *)
-let rec poisson_draw rng rate =
+   threshold: a rate above 30 is split in half until the halves are at
+   most 30.  Halving a float is exact and so is [rate -. rate /. 2.0]
+   (Sterbenz), so all 2^j leaves of that split have the same rate and
+   are drawn one after another off the one stream.
+   Each uniform is [Splitmix.float rng 1.0] written out over [bits53] —
+   the same stream and the same products — so it stays an unboxed local
+   instead of a float boxed on return from another compilation unit. *)
+let poisson_draw rng rate =
   if rate <= 0.0 then 0
-  else if rate > 30.0 then
-    let half = rate /. 2.0 in
-    poisson_draw rng half + poisson_draw rng (rate -. half)
   else begin
-    let l = exp (-.rate) in
+    let leaf = ref rate and leaves = ref 1 in
+    while !leaf > 30.0 do
+      leaf := !leaf /. 2.0;
+      leaves := 2 * !leaves
+    done;
+    let l = exp (-. !leaf) in
     let k = ref 0 in
-    let p = ref 1.0 in
-    let running = ref true in
-    while !running do
-      p := !p *. Prng.Splitmix.float rng 1.0;
-      if !p <= l then running := false else incr k
+    for _ = 1 to !leaves do
+      let p = ref 1.0 in
+      let running = ref true in
+      while !running do
+        p := !p *. (float_of_int (Prng.Splitmix.bits53 rng) /. 9007199254740992.0);
+        if !p <= l then running := false else incr k
+      done
     done;
     !k
   end

@@ -59,8 +59,9 @@ let depart t ~round ~arrivals ~loads =
   | Service { rate } ->
     let departed = ref 0 in
     for u = 0 to n - 1 do
-      let c = min loads.(u) rate in
-      loads.(u) <- loads.(u) - c;
+      let l = loads.(u) in
+      let c = if l < rate then l else rate in
+      loads.(u) <- l - c;
       departed := !departed + c
     done;
     !departed

@@ -100,6 +100,41 @@ let test_rotor_router_balances_complete_graph () =
     true
     (Core.Loads.discrepancy r.Core.Engine.final_loads <= 2 * (n - 1))
 
+(* A checkpoint or snapshot whose rotor lies outside the rotor's range
+   is refused whole by state_restore, before any node changes. *)
+let check_restore_bound label bal ~bound =
+  match bal.Core.Balancer.persist with
+  | None -> Alcotest.fail (label ^ ": no persistence")
+  | Some p ->
+    let before = p.Core.Balancer.state_save () in
+    let n = Array.length before in
+    List.iter
+      (fun bad ->
+        let saved = Array.init n (fun u -> if u = n - 1 then bad else (u + 1) mod bound) in
+        check_bool
+          (Printf.sprintf "%s: rotor %d rejected" label bad)
+          true
+          (try
+             p.Core.Balancer.state_restore saved;
+             false
+           with Invalid_argument _ -> true);
+        Alcotest.(check (array int))
+          (Printf.sprintf "%s: state untouched after rotor %d" label bad)
+          before (p.Core.Balancer.state_save ()))
+      [ -1; bound; bound + 7 ];
+    let ok = Array.init n (fun u -> (bound - 1 + u) mod bound) in
+    p.Core.Balancer.state_restore ok;
+    Alcotest.(check (array int)) (label ^ ": in-range state restored") ok
+      (p.Core.Balancer.state_save ())
+
+let test_restore_rejects_out_of_range_rotor () =
+  let g = Graphs.Gen.torus [ 3; 3 ] in
+  check_restore_bound "rotor-router" (Core.Rotor_router.make g ~self_loops:3) ~bound:7;
+  check_restore_bound "rotor-router*" (Core.Rotor_router_star.make g) ~bound:7;
+  let h = Graphs.Gen.hypercube 3 in
+  check_restore_bound "rotor-router d°=0" (Core.Rotor_router.make h ~self_loops:0) ~bound:3;
+  check_restore_bound "rotor-router* d=3" (Core.Rotor_router_star.make h) ~bound:5
+
 (* --- rotor-router* --- *)
 
 let test_rotor_router_star_special_loop () =
@@ -242,6 +277,67 @@ let prop_rotor_router_cumulative_rotation =
       let lo = Array.fold_left min max_int cum and hi = Array.fold_left max 0 cum in
       hi - lo <= 1)
 
+(* The reference Propp machine: node by node, token by token, each
+   token leaves on order.((r + i) mod d⁺) and the rotor ends at
+   (r + load) mod d⁺. *)
+let propp_assign ~orders ~rotors ~node ~load =
+  let ord = orders.(node) in
+  let dp = Array.length ord in
+  let ports = Array.make dp 0 in
+  let r = rotors.(node) in
+  for i = 0 to load - 1 do
+    let k = ord.((r + i) mod dp) in
+    ports.(k) <- ports.(k) + 1
+  done;
+  rotors.(node) <- (r + load) mod dp;
+  ports
+
+let prop_rotor_router_matches_propp_machine =
+  QCheck.Test.make ~name:"rotor-router assign = token-by-token Propp machine" ~count:300
+    QCheck.(quad (int_range 1 10) (int_range 0 12) bool small_nat)
+    (fun (d, self_loops, custom, seed) ->
+      let dp = d + self_loops in
+      let g = Graphs.Gen.complete (d + 1) in
+      let n = d + 1 in
+      let rng = Prng.Splitmix.create seed in
+      let orders =
+        Array.init n (fun _ ->
+            if custom then Prng.Sample.permutation rng dp
+            else Core.Rotor_router.default_order ~degree:d ~self_loops)
+      in
+      let rotors = Array.init n (fun _ -> if custom then Prng.Splitmix.int rng dp else 0) in
+      let bal =
+        if custom then
+          Core.Rotor_router.make g ~self_loops
+            ~order:(fun u -> orders.(u))
+            ~init_rotor:(fun u -> rotors.(u))
+        else Core.Rotor_router.make g ~self_loops
+      in
+      let save =
+        match bal.Core.Balancer.persist with
+        | Some p -> p.Core.Balancer.state_save
+        | None -> QCheck.Test.fail_report "rotor-router without persistence"
+      in
+      let ports = Array.make dp 0 in
+      (* Loads of every kind: 0, below d⁺, exact multiples of d⁺, and at
+         least 5·d⁺ with any remainder. *)
+      let load_of = function
+        | 0 -> 0
+        | 1 -> Prng.Splitmix.int rng dp
+        | 2 -> dp * (1 + Prng.Splitmix.int rng 6)
+        | _ -> (5 * dp) + Prng.Splitmix.int rng (50 * dp)
+      in
+      for call = 1 to 40 do
+        let node = Prng.Splitmix.int rng n in
+        let load = load_of (Prng.Splitmix.int rng 4) in
+        bal.Core.Balancer.assign ~step:call ~node ~load ~ports;
+        let expect = propp_assign ~orders ~rotors ~node ~load in
+        if ports <> expect || save () <> rotors then
+          QCheck.Test.fail_reportf "d=%d d°=%d custom=%b call %d: node %d load %d" d
+            self_loops custom call node load
+      done;
+      true)
+
 let () =
   Alcotest.run "algorithms"
     [
@@ -261,6 +357,8 @@ let () =
           Alcotest.test_case "init rotor" `Quick test_rotor_router_init_rotor;
           Alcotest.test_case "balances K8" `Quick test_rotor_router_balances_complete_graph;
           Alcotest.test_case "stateful" `Quick test_rotor_router_is_stateful;
+          Alcotest.test_case "restore rejects out-of-range rotor" `Quick
+            test_restore_rejects_out_of_range_rotor;
         ] );
       ( "rotor-router*",
         [
@@ -281,5 +379,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_assignments_valid;
           QCheck_alcotest.to_alcotest prop_send_round_round_fair;
           QCheck_alcotest.to_alcotest prop_rotor_router_cumulative_rotation;
+          QCheck_alcotest.to_alcotest prop_rotor_router_matches_propp_machine;
         ] );
     ]

@@ -239,6 +239,93 @@ let test_step_reports_like_run () =
        false
      with Invalid_argument _ -> true)
 
+(* Sends -1 on original port 0 and -2 on original port 1, and keeps
+   nothing: it breaks conservation too, but the first negative original
+   port is what gets reported. *)
+let negative_and_leaky g ~self_loops =
+  let d = Graphs.Graph.degree g in
+  {
+    Core.Balancer.name = "negative-and-leaky";
+    degree = d;
+    self_loops;
+    props = Core.Balancer.paper_stateless;
+    persist = None;
+    assign =
+      (fun ~step:_ ~node:_ ~load:_ ~ports ->
+        Array.fill ports 0 (d + self_loops) 0;
+        ports.(0) <- -1;
+        ports.(1) <- -2);
+  }
+
+(* Overdraws a self-loop: -1 kept, load + 1 sent on port 0.  The engine
+   only forbids negative sends on original edges. *)
+let negative_self_loop g ~self_loops =
+  let d = Graphs.Graph.degree g in
+  {
+    Core.Balancer.name = "negative-self-loop";
+    degree = d;
+    self_loops;
+    props = Core.Balancer.paper_stateless;
+    persist = None;
+    assign =
+      (fun ~step:_ ~node:_ ~load ~ports ->
+        Array.fill ports 0 (d + self_loops) 0;
+        ports.(0) <- load + 1;
+        ports.(d) <- -1);
+  }
+
+(* Each case runs through both [run ~steps:1] and [step]: the final
+   loads, or the violation text. *)
+let test_validation_precedence () =
+  let g = Graphs.Gen.cycle 4 in
+  let outcome f = try Ok (f ()) with Core.Engine.Invariant_violation m -> Error m in
+  let check label expect make init =
+    let balancer () = make g ~self_loops:1 in
+    Alcotest.(check (result (array int) string))
+      (label ^ " (run)") expect
+      (outcome (fun () ->
+           (Core.Engine.run ~graph:g ~balancer:(balancer ()) ~init ~steps:1 ())
+             .Core.Engine.final_loads));
+    Alcotest.(check (result (array int) string))
+      (label ^ " (step)") expect
+      (outcome (fun () -> Core.Engine.step ~graph:g ~balancer:(balancer ()) ~step:1 init))
+  in
+  check "negative original port beats conservation"
+    (Error "negative-and-leaky: node 0 step 1 sends -1 (< 0) on original port 0")
+    negative_and_leaky [| 3; 0; 2; 5 |];
+  let init = [| 3; 0; 2; 5 |] in
+  let expect = Array.make 4 0 in
+  Array.iteri
+    (fun u x ->
+      let v = Graphs.Graph.neighbor g u 0 in
+      expect.(v) <- expect.(v) + x + 1;
+      expect.(u) <- expect.(u) - 1)
+    init;
+  check "negative self-loop with a correct sum is accepted" (Ok expect) negative_self_loop
+    init;
+  check "a dropped token is caught at its first node"
+    (Error "leaky: node 2 step 1 assigned 1 tokens of load 2")
+    leaky [| 0; 0; 2; 5 |]
+
+(* The single round allocates its output vector and its ports buffer
+   and nothing per node. *)
+let test_step_allocation () =
+  let g = Graphs.Gen.torus [ 64; 64 ] in
+  let n = Graphs.Graph.n g in
+  let bal = Core.Rotor_router.make g ~self_loops:4 in
+  let dp = Core.Balancer.d_plus bal in
+  let init = Core.Loads.point_mass ~n ~total:(1000 * n) in
+  let loads = Core.Engine.step ~graph:g ~balancer:bal ~step:1 init in
+  let before = Gc.allocated_bytes () in
+  let loads = Core.Engine.step ~graph:g ~balancer:bal ~step:2 loads in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  check_int "mass conserved" (1000 * n) (Core.Loads.total loads);
+  let budget = n + dp + 64 in
+  check_bool
+    (Printf.sprintf "%.0f words allocated, budget n + d+ + 64 = %d" words budget)
+    true
+    (words <= float_of_int budget)
+
 (* Every balancer family of Table 1, each with a view of its mutable
    state after the run: the persisted per-node state, the position of a
    private random stream, or the quasirandom accumulator bound. *)
@@ -312,7 +399,9 @@ let () =
           Alcotest.test_case "negative send enforced" `Quick test_negative_send_enforced;
           Alcotest.test_case "degree mismatch" `Quick test_degree_mismatch_rejected;
           Alcotest.test_case "step reports like run" `Quick test_step_reports_like_run;
+          Alcotest.test_case "validation precedence" `Quick test_validation_precedence;
         ] );
+      ("allocation", [ Alcotest.test_case "step allocation" `Quick test_step_allocation ]);
       ( "instrumentation",
         [
           Alcotest.test_case "series sampling" `Quick test_series_sampling;

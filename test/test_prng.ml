@@ -184,6 +184,21 @@ let prop_split_conserves =
       let s = Prng.Sample.geometric_split g ~total ~parts in
       Array.fold_left ( + ) 0 s = total && Array.for_all (fun x -> x >= 0) s)
 
+(* [float] is [bits53] scaled: a copied generator drawing through each
+   gives the same floats, bit for bit. *)
+let prop_float_is_bits53_scaled =
+  QCheck.Test.make ~name:"float g 1.0 = bits53 g / 2^53" ~count:10 QCheck.small_int
+    (fun seed ->
+      let g = Prng.Splitmix.create seed in
+      let g' = Prng.Splitmix.copy g in
+      let ok = ref true in
+      for _ = 1 to 1000 do
+        let a = Prng.Splitmix.float g 1.0 in
+        let b = float_of_int (Prng.Splitmix.bits53 g') /. 9007199254740992.0 in
+        if Int64.bits_of_float a <> Int64.bits_of_float b then ok := false
+      done;
+      !ok)
+
 let () =
   Alcotest.run "prng"
     [
@@ -219,5 +234,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_int_in_range;
           QCheck_alcotest.to_alcotest prop_split_conserves;
+          QCheck_alcotest.to_alcotest prop_float_is_bits53_scaled;
         ] );
     ]

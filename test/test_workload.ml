@@ -433,6 +433,25 @@ let test_int_percentile_edges () =
     "p90 of a wide sample" 4.6e12
     (int_pct [| 5_000_000_000_000; 3; 1; 4_000_000_000_000; 2 |] 90.0)
 
+(* Poisson arrivals at 90% of a µ = 2 capacity on 2^12 nodes, about
+   7400 uniforms a round: drawing them must not box a float each. *)
+let test_poisson_inject_allocation () =
+  let n = 1 lsl 12 in
+  let arrival = A.poisson ~rng:(Prng.Splitmix.create 5) ~rate:(0.9 *. 2.0 *. float_of_int n) in
+  let loads = Array.make n 0 in
+  ignore (A.inject arrival ~round:1 ~loads);
+  let rounds = 50 in
+  let before = Gc.minor_words () in
+  let injected = ref 0 in
+  for round = 2 to rounds + 1 do
+    injected := !injected + A.inject arrival ~round ~loads
+  done;
+  let per_round = (Gc.minor_words () -. before) /. float_of_int rounds in
+  check_bool "tokens arrived" true (!injected > 0);
+  check_bool
+    (Printf.sprintf "%.1f minor words per round, budget 64" per_round)
+    true (per_round <= 64.0)
+
 let () =
   Alcotest.run "workload"
     [
@@ -462,6 +481,8 @@ let () =
           Alcotest.test_case "diurnal modulation" `Quick test_diurnal_modulation;
           Alcotest.test_case "validate node range" `Quick test_validate_node_range;
           Alcotest.test_case "rejects bad specs" `Quick test_rejects_bad_specs;
+          Alcotest.test_case "poisson inject allocation" `Quick
+            test_poisson_inject_allocation;
         ] );
       ( "lifetimes",
         [
