@@ -47,6 +47,7 @@ let make ?root g =
         };
       assign;
       persist = None;
+      kernel = None;
     }
   in
   (balancer, init)

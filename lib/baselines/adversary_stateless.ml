@@ -79,6 +79,7 @@ let make_general g ~d ~rule =
         };
       assign;
       persist = None;
+      kernel = None;
     }
   in
   (balancer, init)

@@ -64,4 +64,5 @@ let make g ~self_loops ~init =
       };
     assign;
     persist = None;
+    kernel = None;
   }

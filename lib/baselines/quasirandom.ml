@@ -44,5 +44,6 @@ let make g ~self_loops =
         };
       assign;
       persist = None;
+      kernel = None;
     },
     inspector )

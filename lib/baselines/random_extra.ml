@@ -24,4 +24,5 @@ let make rng g ~self_loops =
       };
     assign;
     persist = None;
+    kernel = None;
   }

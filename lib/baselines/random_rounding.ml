@@ -36,4 +36,5 @@ let make rng g ~self_loops =
       };
     assign;
     persist = None;
+    kernel = None;
   }

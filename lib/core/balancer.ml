@@ -10,13 +10,21 @@ type persistence = {
   state_restore : int array -> unit;
 }
 
+type assign = step:int -> node:int -> load:int -> ports:int array -> unit
+
+type kernel = {
+  reproduces : assign;
+  round : step:int -> adj:int array -> int array -> int array -> int;
+}
+
 type t = {
   name : string;
   degree : int;
   self_loops : int;
   props : properties;
-  assign : step:int -> node:int -> load:int -> ports:int array -> unit;
+  assign : assign;
   persist : persistence option;
+  kernel : kernel option;
 }
 
 let d_plus b = b.degree + b.self_loops

@@ -36,16 +36,48 @@ type persistence = {
       @raise Invalid_argument on a length mismatch. *)
 }
 
+type assign = step:int -> node:int -> load:int -> ports:int array -> unit
+
+type kernel = {
+  reproduces : assign;
+  (** The [assign] closure this kernel stands in for.  {!Engine} runs
+      the kernel only while this is physically the record's [assign]. *)
+  round : step:int -> adj:int array -> int array -> int array -> int;
+  (** [round ~step ~adj cur next] runs one whole synchronous round:
+      for every node [u] in increasing order it does what
+      [assign ~step ~node:u ~load:cur.(u)] would do — the same state
+      updates and the same exceptions, at the same node — and adds the
+      resulting sends to [next.(adj.(u·d + k))] and the kept tokens to
+      [next.(u)].  [next] holds zeros on entry.  Returns the tokens sent
+      over original ports. *)
+}
+(** A whole-round kernel: one call per round instead of one [assign]
+    call per node and a d⁺-entry ports buffer.
+
+    Only a balancer's own constructor may set one ({!Rotor_router.make}
+    does, for its default order), and the loads and state it leaves must
+    match [assign] bit for bit; the kernel writes no ports, so it is
+    trusted to route what [assign] would have assigned.  {!Engine}
+    ignores the kernel, and drives [assign] node by node, when the run
+    is audited ([Fairness] needs every node's ports) and whenever the
+    record was rebuilt with another [assign] — as {!Tap.wrap} and the
+    fault layer's outage wrapper do with [{ b with assign = … }] — since
+    [reproduces] then no longer is [assign].  A wrapper therefore
+    cannot be bypassed by mistake. *)
+
 type t = {
   name : string;
   degree : int;       (** d: original edges per node *)
   self_loops : int;   (** d°: self-loops per node in G⁺ *)
   props : properties;
-  assign : step:int -> node:int -> load:int -> ports:int array -> unit;
+  assign : assign;
   persist : persistence option;
   (** Checkpoint capability.  [None] for balancers whose state cannot be
       captured as a per-node int vector (or that have none — stateless
       balancers need no persistence to be resumable). *)
+  kernel : kernel option;
+  (** Optional whole-round fast path; [None] for every balancer but the
+      default-order rotor-router. *)
 }
 
 val d_plus : t -> int

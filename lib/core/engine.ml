@@ -9,14 +9,21 @@ type result = {
   fairness : Fairness.report option;
 }
 
-let scan_discrepancy_and_min loads =
-  let lo = ref loads.(0) and hi = ref loads.(0) in
+(* Discrepancy, minimum and token total of the last scanned vector:
+   one per call, so a round's scan allocates nothing. *)
+type scan = { mutable disc : int; mutable min : int; mutable total : int }
+
+let scan_into s loads =
+  let lo = ref loads.(0) and hi = ref loads.(0) and total = ref loads.(0) in
   for i = 1 to Array.length loads - 1 do
     let x = loads.(i) in
     if x < !lo then lo := x;
-    if x > !hi then hi := x
+    if x > !hi then hi := x;
+    total := !total + x
   done;
-  (!hi - !lo, !lo)
+  s.disc <- !hi - !lo;
+  s.min <- !lo;
+  s.total <- !total
 
 let check_shape ~fn ~graph ~balancer loads =
   let d = Graphs.Graph.degree graph in
@@ -27,18 +34,17 @@ let check_shape ~fn ~graph ~balancer loads =
   if Array.length loads <> Graphs.Graph.n graph then
     invalid_arg (Printf.sprintf "Engine.%s: init length mismatch" fn)
 
-(* One synchronous round from [cur] into [next], which must hold zeros:
-   every node's assignment is validated and routed.  The only copy of
-   the assign → validate → route loop; [run] and [step] both drive it.
-   Validation is fused with routing: one pass over the original ports
-   rejects a negative send, sums and scatters into [next]; a second pass
-   over the self-loop ports gives the kept tokens; conservation is
-   checked after both, so a negative original port is still reported
-   before a conservation failure.  On a violation [next] is left
-   partially written — both callers discard it.  Returns the tokens
-   that left their node when [probing], else 0. *)
-let round_into ~balancer ~adj ~d ~ports ~tracker ~probing ~step cur next =
-  let sp = Obs.Prof.start "core.assign" in
+(* Every node's assignment validated and routed into [next]: the only
+   copy of the assign → validate → route loop.  Validation is fused
+   with routing: one pass over the original ports rejects a negative
+   send, sums and scatters into [next]; a second pass over the
+   self-loop ports gives the kept tokens; conservation is checked after
+   both, so a negative original port is still reported before a
+   conservation failure.  On a violation [next] is left partially
+   written — both callers discard it.  Returns the tokens that left
+   their node when [probing], else 0. *)
+let assign_round ~balancer ~adj ~d ~tracker ~probing ~step cur next =
+  let ports = Array.make (Balancer.d_plus balancer) 0 in
   let dp = Array.length ports in
   let moved = ref 0 in
   for u = 0 to Array.length cur - 1 do
@@ -74,8 +80,25 @@ let round_into ~balancer ~adj ~d ~ports ~tracker ~probing ~step cur next =
     if probing then moved := !moved + !sent;
     next.(u) <- next.(u) + !kept
   done;
-  Obs.Prof.stop sp;
   !moved
+
+(* One synchronous round from [cur] into [next], which must hold zeros;
+   [run] and [step] both drive it.  The balancer's whole-round kernel
+   runs when it has one, the run is not audited and the record's
+   [assign] is still the closure the kernel reproduces (a record
+   rebuilt around another [assign], as {!Tap.wrap} makes, falls back);
+   otherwise [assign_round].  A kernel returns its moved count whether
+   or not [probing]. *)
+let round_into ~balancer ~adj ~d ~tracker ~probing ~step cur next =
+  let sp = Obs.Prof.start "core.assign" in
+  let moved =
+    match balancer.Balancer.kernel, tracker with
+    | Some k, None when k.Balancer.reproduces == balancer.Balancer.assign ->
+      k.Balancer.round ~step ~adj cur next
+    | _ -> assign_round ~balancer ~adj ~d ~tracker ~probing ~step cur next
+  in
+  Obs.Prof.stop sp;
+  moved
 
 let probe_round ~dp ~step ~moved ~disc ~mn loads =
   Obs.Probe.on_round ~engine:"core" ~d_plus:dp ~step ~tokens_moved:moved
@@ -88,12 +111,12 @@ let step ~graph ~balancer ~step loads =
   let next = Array.make (Array.length loads) 0 in
   let moved =
     round_into ~balancer ~adj:(Graphs.Graph.adjacency graph)
-      ~d:balancer.Balancer.degree ~ports:(Array.make dp 0) ~tracker:None ~probing
-      ~step loads next
+      ~d:balancer.Balancer.degree ~tracker:None ~probing ~step loads next
   in
   if probing then begin
-    let disc, mn = scan_discrepancy_and_min next in
-    probe_round ~dp ~step ~moved ~disc ~mn next
+    let sc = { disc = 0; min = 0; total = 0 } in
+    scan_into sc next;
+    probe_round ~dp ~step ~moved ~disc:sc.disc ~mn:sc.min next
   end;
   next
 
@@ -117,14 +140,15 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
   let probing = Obs.Probe.enabled () in
   let cur = ref (Array.copy init) in
   let next = ref (Array.make n 0) in
-  let ports = Array.make dp 0 in
   let series = ref [] in
   let reached = ref None in
-  let d0, m0 = scan_discrepancy_and_min !cur in
-  let min_seen = ref m0 in
-  series := (0, d0) :: !series;
+  let sc = { disc = 0; min = 0; total = 0 } in
+  scan_into sc !cur;
+  let total = ref sc.total in
+  let min_seen = ref sc.min in
+  series := (0, sc.disc) :: !series;
   (match stop_at_discrepancy with
-   | Some target when d0 <= target -> reached := Some 0
+   | Some target when sc.disc <= target -> reached := Some 0
    | _ -> ());
   let steps_done = ref 0 in
   (try
@@ -132,22 +156,36 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
        if !reached <> None && stop_at_discrepancy <> None then raise Exit;
        Array.fill !next 0 n 0;
        let moved =
-         round_into ~balancer ~adj ~d ~ports ~tracker ~probing ~step:t !cur !next
+         round_into ~balancer ~adj ~d ~tracker ~probing ~step:t !cur !next
        in
        let tmp = !cur in
        cur := !next;
        next := tmp;
        steps_done := t;
        let sp = Obs.Prof.start "core.scan" in
-       let disc, mn = scan_discrepancy_and_min !cur in
+       scan_into sc !cur;
        Obs.Prof.stop sp;
+       let disc = sc.disc and mn = sc.min in
+       (* Per-node checks cannot see a kernel that drops or duplicates a
+          token; the round total can. *)
+       if sc.total <> !total then
+         raise
+           (Invariant_violation
+              (Printf.sprintf "%s: step %d changed the token total from %d to %d"
+                 balancer.Balancer.name t !total sc.total));
        if probing then probe_round ~dp ~step:t ~moved ~disc ~mn !cur;
        if mn < !min_seen then min_seen := mn;
        if t mod sample_every = 0 || t = steps then series := (t, disc) :: !series;
        (* Round boundary: service any pending SIGUSR1 scrape request
           (the handler itself only sets a flag). *)
        Obs.Export.poll ();
-       (match hook with Some f -> f t !cur | None -> ());
+       (* The fault layer's hook injects and removes tokens in place,
+          so the next round is checked against the total it leaves. *)
+       (match hook with
+        | Some f ->
+          f t !cur;
+          total := Loads.total !cur
+        | None -> ());
        (match stop_at_discrepancy with
         | Some target when disc <= target && !reached = None -> reached := Some t
         | _ -> ())

@@ -4,11 +4,15 @@
     its balancer's [assign] simultaneously on its current load; tokens
     placed on original ports move to the neighbor, tokens placed on
     self-loop ports stay.  Conservation and non-negative sends are
-    enforced on every assignment. *)
+    enforced on every assignment.  A balancer with a whole-round
+    {!Balancer.kernel} runs it instead, once per round, unless the run
+    is audited or the record's [assign] was rebuilt; it assigns no
+    ports, so {!run} checks the round's token total instead. *)
 
 exception Invariant_violation of string
 (** Raised when a balancer breaks conservation or sends a negative
-    token count on an original edge. *)
+    token count on an original edge, or when a round of {!run} changes
+    the token total. *)
 
 type result = {
   steps_run : int;
@@ -43,9 +47,18 @@ val run :
       membership via {!Fairness}; costs a second O(n·d⁺) pass per step.
     - [sample_every] (default 1): discrepancy series granularity.
     - [hook]: called as [hook t loads] after each step [t ≥ 1] with the
-      current load vector (not a copy — do not mutate).
+      current load vector (not a copy).  A hook may add or remove
+      tokens in place, as the fault layer does; the next round's total
+      check is then made against the total it leaves, at the cost of
+      one more pass over the vector per round.
     - [stop_at_discrepancy]: stop early once the discrepancy is ≤ the
       given value; [result.reached_target] records when.
+
+    Every round's token total is checked against the last one (one add
+    per node, folded into the discrepancy scan), so a kernel that drops
+    or duplicates a token is caught in the round it does so.  The
+    per-node checks come first: a negative original port, then a node
+    whose ports do not sum to its load.
 
     @raise Invalid_argument if the balancer's degree does not match the
     graph or [init] has the wrong length.
@@ -59,9 +72,12 @@ val step :
     round kernel {!run} iterates: the same validation (and the same
     {!Invariant_violation} messages), the same [core.assign] profiling
     span and, when probes are enabled, the same per-round probe.  Its
-    only allocation is the returned array (plus the d⁺-sized port
-    buffer), so it is the cheap way to drive one round at a time, as the
-    open-system steppers do.
+    only allocation is the returned array (plus a d⁺-sized port buffer
+    when no kernel runs), so it is the cheap way to drive one round at a
+    time, as the open-system steppers do.  It makes no token-total
+    check: that is left to its callers' ledgers (the open-system
+    engine's [conserved] balances the final total against arrivals,
+    departures and fault losses).
     @raise Invalid_argument if the balancer's degree does not match the
     graph or [loads] has the wrong length.
     @raise Invariant_violation on a misbehaving balancer. *)

@@ -1,7 +1,12 @@
 let require_nonempty name a =
   if Array.length a = 0 then invalid_arg ("Loads." ^ name ^ ": empty load vector")
 
-let total a = Array.fold_left ( + ) 0 a
+let total a =
+  let s = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    s := !s + a.(i)
+  done;
+  !s
 
 let max_load a =
   require_nonempty "max_load" a;

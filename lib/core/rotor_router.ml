@@ -66,9 +66,11 @@ let make ?order ?init_rotor g ~self_loops =
             invalid_arg "Rotor_router.make: initial rotor out of range";
           r)
   in
+  let negative_load () =
+    invalid_arg "Rotor_router: negative load (rotor-router never produces one)"
+  in
   let assign ~step:_ ~node ~load ~ports =
-    if load < 0 then
-      invalid_arg "Rotor_router: negative load (rotor-router never produces one)";
+    if load < 0 then negative_load ();
     let q = load / dp in
     let e = load - (q * dp) in
     for k = 0 to dp - 1 do
@@ -84,6 +86,51 @@ let make ?order ?init_rotor g ~self_loops =
     let r' = r + e in
     rotor.(node) <- (if r' >= dp then r' - dp else r')
   in
+  (* The whole-round kernel, for the shared default order only: its
+     d⁺-entry inverse table pos (port k sits at index pos.(k) of the
+     order) tells whether original port k lies in the window [r, r + e)
+     without a ports buffer.  A custom order would need an n·d⁺ inverse
+     table, so it keeps the generic path. *)
+  let kernel =
+    match order with
+    | Some _ -> None
+    | None ->
+      let pos = Array.make dp 0 in
+      for i = 0 to dp - 1 do
+        pos.(ord.(i)) <- i
+      done;
+      let round ~step:_ ~adj cur next =
+        let moved = ref 0 in
+        for u = 0 to Array.length cur - 1 do
+          let x = cur.(u) in
+          if x > 0 then begin
+            (* A load below d⁺ needs no division. *)
+            let q = if x < dp then 0 else x / dp in
+            let e = x - (q * dp) in
+            let r = rotor.(u) in
+            let base = u * d in
+            let sent = ref 0 in
+            for k = 0 to d - 1 do
+              let w = pos.(k) - r in
+              let w = if w < 0 then w + dp else w in
+              let s = if w < e then q + 1 else q in
+              if s > 0 then begin
+                let v = adj.(base + k) in
+                next.(v) <- next.(v) + s;
+                sent := !sent + s
+              end
+            done;
+            let r' = r + e in
+            rotor.(u) <- (if r' >= dp then r' - dp else r');
+            moved := !moved + !sent;
+            next.(u) <- next.(u) + x - !sent
+          end
+          else if x < 0 then negative_load ()
+        done;
+        !moved
+      in
+      Some { Balancer.reproduces = assign; round }
+  in
   {
     Balancer.name = Printf.sprintf "rotor-router(d°=%d)" self_loops;
     degree = d;
@@ -91,4 +138,5 @@ let make ?order ?init_rotor g ~self_loops =
     props = Balancer.paper_deterministic;
     assign;
     persist = Balancer.per_node_persistence ~bound:dp rotor;
+    kernel;
   }

@@ -36,6 +36,13 @@ val make :
     ints per node.  The persisted state is the rotor vector, each entry
     in [\[0, d⁺)]; restoring anything else raises [Invalid_argument].
 
+    With the default order (any [init_rotor]) the balancer also carries
+    a whole-round {!Balancer.kernel}, backed by a d⁺-entry inverse
+    order table, that updates the same rotor vector; {!Engine} runs it
+    in place of [assign] except in audited runs and under wrappers that
+    rebuild [assign].  A custom [order] gets no kernel, since its
+    inverse tables would cost n·d⁺ more ints.
+
     @raise Invalid_argument if an order is not a permutation or an
     initial rotor position is out of range. *)
 

@@ -38,4 +38,5 @@ let make ?init_rotor g =
     props = Balancer.paper_deterministic;
     assign;
     persist = Balancer.per_node_persistence ~bound:rotor_ports rotor;
+    kernel = None;
   }

@@ -15,4 +15,5 @@ let make g ~self_loops =
     props = Balancer.paper_stateless;
     assign;
     persist = None;
+    kernel = None;
   }

@@ -35,15 +35,24 @@ let split g = of_state (mix64 (advance g))
 
 let int g bound =
   if bound <= 0 then invalid_arg "Splitmix.int: bound must be positive";
-  (* Rejection sampling on the top 62 bits to avoid modulo bias. *)
-  let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let r = ref (-1) in
-  while !r < 0 do
-    let v = Int64.to_int (Int64.shift_right_logical (advance g) 2) land mask in
-    let x = v mod bound in
-    if v - x + (bound - 1) >= 0 then r := x
-  done;
-  !r
+  if bound land (bound - 1) = 0 then
+    (* A power-of-two bound keeps the rejection loop's first draw.  For
+       the top 62 bits v < 2^62 and x = v mod bound = v land (bound - 1),
+       v - x is a multiple of bound below 2^62, so v - x + bound - 1 <=
+       2^62 - 1 = max_int: the rejection test below could never fire,
+       and the stream advances exactly once either way. *)
+    Int64.to_int (Int64.shift_right_logical (advance g) 2) land (bound - 1)
+  else begin
+    (* Rejection sampling on the top 62 bits to avoid modulo bias. *)
+    let mask = 0x3FFF_FFFF_FFFF_FFFF in
+    let r = ref (-1) in
+    while !r < 0 do
+      let v = Int64.to_int (Int64.shift_right_logical (advance g) 2) land mask in
+      let x = v mod bound in
+      if v - x + (bound - 1) >= 0 then r := x
+    done;
+    !r
+  end
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Splitmix.int_in: empty range";

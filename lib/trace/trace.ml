@@ -67,6 +67,7 @@ let playback_balancer t =
           invalid_arg "Trace.replay: step outside recorded range";
         Array.blit t.assignments.(step - 1).(node) 0 ports 0 dp);
     persist = None;
+    kernel = None;
   }
 
 let replay t =

@@ -338,6 +338,83 @@ let prop_rotor_router_matches_propp_machine =
       done;
       true)
 
+(* --- Where the rotor-router's whole-round kernel must not run --- *)
+
+let kernel_graph = Graphs.Gen.torus [ 5; 6 ]
+let kernel_init = Core.Loads.point_mass ~n:30 ~total:1234
+
+let rotor_state b =
+  match b.Core.Balancer.persist with
+  | Some p -> p.Core.Balancer.state_save ()
+  | None -> Alcotest.fail "rotor-router without persistence"
+
+let test_kernel_only_for_default_order () =
+  let g = kernel_graph in
+  check_bool "default order has a kernel" true
+    (Option.is_some (Core.Rotor_router.make g ~self_loops:3).Core.Balancer.kernel);
+  check_bool "custom order has none" true
+    (Option.is_none
+       (Core.Rotor_router.make g ~self_loops:3
+          ~order:(fun _ -> Core.Rotor_router.default_order ~degree:4 ~self_loops:3))
+         .Core.Balancer.kernel)
+
+(* Tap.wrap rebuilds [assign] but keeps the kernel field: the engine
+   must notice and call the observer for every node of every round. *)
+let test_tap_sees_every_assignment () =
+  let g = kernel_graph in
+  let calls = ref 0 in
+  let tapped =
+    Core.Tap.wrap (Core.Rotor_router.make g ~self_loops:4)
+      ~on_assign:(fun ~step:_ ~node:_ ~load:_ ~ports:_ -> incr calls)
+  in
+  check_bool "kernel field kept" true (Option.is_some tapped.Core.Balancer.kernel);
+  ignore (Core.Engine.run ~graph:g ~balancer:tapped ~init:kernel_init ~steps:17 ());
+  check_int "run: n·steps observations" (30 * 17) !calls;
+  calls := 0;
+  ignore (Core.Engine.step ~graph:g ~balancer:tapped ~step:1 kernel_init);
+  check_int "step: n observations" 30 !calls
+
+let no_op_tap b = Core.Tap.wrap b ~on_assign:(fun ~step:_ ~node:_ ~load:_ ~ports:_ -> ())
+
+let test_audit_uses_generic_path () =
+  let g = kernel_graph in
+  let audited b =
+    let r = Core.Engine.run ~audit:true ~graph:g ~balancer:b ~init:kernel_init ~steps:25 () in
+    (r.Core.Engine.final_loads, r.Core.Engine.fairness, rotor_state b)
+  in
+  let plain = audited (Core.Rotor_router.make g ~self_loops:4) in
+  let generic = audited (no_op_tap (Core.Rotor_router.make g ~self_loops:4)) in
+  check_bool "same loads, report and rotors" true (plain = generic);
+  match plain with
+  | _, Some rep, _ -> check_int "every node-step audited" (30 * 25) rep.Core.Fairness.observations
+  | _, None, _ -> Alcotest.fail "audit requested but no report"
+
+(* The fault layer's outage wrapper rebuilds [assign] too. *)
+let test_outage_wrapper_not_bypassed () =
+  let g = kernel_graph in
+  let plan =
+    Faults.Schedule.realize ~seed:5 ~graph:g
+      [ Faults.Schedule.Edge_outage_rate { rate = 0.4; step = 2; duration = 6 } ]
+  in
+  check_bool "plan has outages" true (plan <> []);
+  let faulted wrap =
+    let b = wrap (Core.Rotor_router.make g ~self_loops:4) in
+    let rep =
+      Faults.Engine.run ~graph:g ~make_balancer:(fun () -> b) ~plan ~init:kernel_init
+        ~steps:20 ()
+    in
+    let r = rep.Faults.Engine.result in
+    (r.Core.Engine.final_loads, r.Core.Engine.series, rotor_state b)
+  in
+  check_bool "outage run = outage run with a tapped balancer" true
+    (faulted Fun.id = faulted no_op_tap);
+  let r =
+    Core.Engine.run ~graph:g ~balancer:(Core.Rotor_router.make g ~self_loops:4)
+      ~init:kernel_init ~steps:20 ()
+  in
+  let loads, _, _ = faulted Fun.id in
+  check_bool "the outages changed the run" true (loads <> r.Core.Engine.final_loads)
+
 let () =
   Alcotest.run "algorithms"
     [
@@ -359,6 +436,15 @@ let () =
           Alcotest.test_case "stateful" `Quick test_rotor_router_is_stateful;
           Alcotest.test_case "restore rejects out-of-range rotor" `Quick
             test_restore_rejects_out_of_range_rotor;
+        ] );
+      ( "rotor kernel",
+        [
+          Alcotest.test_case "default order only" `Quick test_kernel_only_for_default_order;
+          Alcotest.test_case "tap sees every assignment" `Quick
+            test_tap_sees_every_assignment;
+          Alcotest.test_case "audit uses generic path" `Quick test_audit_uses_generic_path;
+          Alcotest.test_case "outage wrapper not bypassed" `Quick
+            test_outage_wrapper_not_bypassed;
         ] );
       ( "rotor-router*",
         [

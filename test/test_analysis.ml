@@ -164,6 +164,7 @@ let test_coloring_flags_bad_balancer () =
       self_loops = 2;
       props = Core.Balancer.paper_stateless;
       persist = None;
+      kernel = None;
       assign =
         (fun ~step:_ ~node:_ ~load ~ports ->
           Array.fill ports 0 4 0;

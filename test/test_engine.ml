@@ -14,6 +14,7 @@ let keep_all g ~self_loops =
     self_loops;
     props = Core.Balancer.paper_stateless;
     persist = None;
+    kernel = None;
     assign =
       (fun ~step:_ ~node:_ ~load ~ports ->
         Array.fill ports 0 (d + self_loops) 0;
@@ -29,6 +30,7 @@ let push_port0 g ~self_loops =
     self_loops;
     props = Core.Balancer.paper_stateless;
     persist = None;
+    kernel = None;
     assign =
       (fun ~step:_ ~node:_ ~load ~ports ->
         Array.fill ports 0 (d + self_loops) 0;
@@ -44,6 +46,7 @@ let leaky g ~self_loops =
     self_loops;
     props = Core.Balancer.paper_stateless;
     persist = None;
+    kernel = None;
     assign =
       (fun ~step:_ ~node:_ ~load ~ports ->
         Array.fill ports 0 (d + self_loops) 0;
@@ -59,6 +62,7 @@ let negative_sender g ~self_loops =
     self_loops;
     props = Core.Balancer.paper_stateless;
     persist = None;
+    kernel = None;
     assign =
       (fun ~step:_ ~node:_ ~load ~ports ->
         Array.fill ports 0 (d + self_loops) 0;
@@ -250,6 +254,7 @@ let negative_and_leaky g ~self_loops =
     self_loops;
     props = Core.Balancer.paper_stateless;
     persist = None;
+    kernel = None;
     assign =
       (fun ~step:_ ~node:_ ~load:_ ~ports ->
         Array.fill ports 0 (d + self_loops) 0;
@@ -267,6 +272,7 @@ let negative_self_loop g ~self_loops =
     self_loops;
     props = Core.Balancer.paper_stateless;
     persist = None;
+    kernel = None;
     assign =
       (fun ~step:_ ~node:_ ~load ~ports ->
         Array.fill ports 0 (d + self_loops) 0;
@@ -308,11 +314,13 @@ let test_validation_precedence () =
     leaky [| 0; 0; 2; 5 |]
 
 (* The single round allocates its output vector and its ports buffer
-   and nothing per node. *)
+   and nothing per node.  The default-order rotor-router runs its
+   whole-round kernel, which needs no ports buffer. *)
 let test_step_allocation () =
   let g = Graphs.Gen.torus [ 64; 64 ] in
   let n = Graphs.Graph.n g in
   let bal = Core.Rotor_router.make g ~self_loops:4 in
+  check_bool "kernel path" true (Option.is_some bal.Core.Balancer.kernel);
   let dp = Core.Balancer.d_plus bal in
   let init = Core.Loads.point_mass ~n ~total:(1000 * n) in
   let loads = Core.Engine.step ~graph:g ~balancer:bal ~step:1 init in
@@ -383,6 +391,160 @@ let prop_step_iterates_to_run =
           ok)
         families)
 
+(* --- The rotor-router's whole-round kernel --- *)
+
+(* A kernel that corrupts the round after the real one ran, installed
+   through the public field with the same [reproduces], so the engine
+   runs it. *)
+let with_corrupt_kernel b corrupt =
+  match b.Core.Balancer.kernel with
+  | None -> Alcotest.fail "default-order rotor-router has no kernel"
+  | Some k ->
+    let round ~step ~adj cur next =
+      let moved = k.Core.Balancer.round ~step ~adj cur next in
+      corrupt ~adj next;
+      moved
+    in
+    { b with Core.Balancer.kernel = Some { k with Core.Balancer.round } }
+
+let test_broken_kernel_caught () =
+  let g = Graphs.Gen.torus [ 4; 4 ] in
+  let init = Array.make 16 20 in
+  let outcome corrupt =
+    let balancer = with_corrupt_kernel (Core.Rotor_router.make g ~self_loops:4) corrupt in
+    try
+      ignore (Core.Engine.run ~graph:g ~balancer ~init ~steps:5 ());
+      None
+    with Core.Engine.Invariant_violation m -> Some m
+  in
+  Alcotest.(check (option string))
+    "drop one token"
+    (Some "rotor-router(d°=4): step 1 changed the token total from 320 to 319")
+    (outcome (fun ~adj:_ next -> next.(0) <- next.(0) - 1));
+  Alcotest.(check (option string))
+    "double one scatter"
+    (Some "rotor-router(d°=4): step 1 changed the token total from 320 to 322")
+    (outcome (fun ~adj next ->
+         (* Node 0 sends 2 tokens on port 0 (q = 20 / 8). *)
+         next.(adj.(0)) <- next.(adj.(0)) + 2));
+  Alcotest.(check (option string)) "the real kernel conserves" None
+    (outcome (fun ~adj:_ _ -> ()))
+
+(* A random instance for the differential property: a random regular
+   graph or a torus, d° in [0, 2d], random initial rotors, and loads
+   mixing 0, below d⁺, multiples of d⁺ and at least 5·d⁺. *)
+let rotor_instance seed =
+  let rng = Prng.Splitmix.create seed in
+  let g =
+    if Prng.Splitmix.bool rng then
+      Graphs.Gen.torus [ Prng.Splitmix.int_in rng 3 7; Prng.Splitmix.int_in rng 3 7 ]
+    else
+      let d = Prng.Splitmix.int_in rng 3 6 in
+      let n = 2 * Prng.Splitmix.int_in rng (d / 2 + 2) 20 in
+      Graphs.Gen.random_regular rng ~n ~d
+  in
+  let n = Graphs.Graph.n g and d = Graphs.Graph.degree g in
+  let self_loops = Prng.Splitmix.int_in rng 0 (2 * d) in
+  let dp = d + self_loops in
+  let rotors = Array.init n (fun _ -> Prng.Splitmix.int rng dp) in
+  let init =
+    Array.init n (fun _ ->
+        match Prng.Splitmix.int rng 4 with
+        | 0 -> 0
+        | 1 -> Prng.Splitmix.int_in rng 1 (dp - 1)
+        | 2 -> dp * Prng.Splitmix.int_in rng 1 4
+        | _ -> (5 * dp) + Prng.Splitmix.int rng (3 * dp))
+  in
+  let steps = Prng.Splitmix.int rng 12 in
+  let make () =
+    Core.Rotor_router.make g ~self_loops ~init_rotor:(fun u -> rotors.(u))
+  in
+  (g, make, init, steps)
+
+let no_op_tap b = Core.Tap.wrap b ~on_assign:(fun ~step:_ ~node:_ ~load:_ ~ports:_ -> ())
+
+let rotor_state b =
+  match b.Core.Balancer.persist with
+  | Some p -> p.Core.Balancer.state_save ()
+  | None -> Alcotest.fail "rotor-router without persistence"
+
+(* Cumulative probe tokens_moved per snapshot, collected with probes
+   on at cadence 1 (or [||] with probes off). *)
+let probed ~probes f =
+  if probes then Obs.Probe.enable ~registry:(Obs.Metrics.create ()) ~every:1 ();
+  Fun.protect ~finally:Obs.Probe.disable (fun () ->
+      let r = f () in
+      (r, Array.map (fun s -> (s.Obs.Probe.step, s.Obs.Probe.tokens_moved)) (Obs.Probe.timeline ())))
+
+let prop_kernel_matches_generic =
+  QCheck.Test.make ~count:200
+    ~name:"rotor kernel = Tap-forced generic path = Engine_ref (run and step)"
+    QCheck.(pair int bool)
+    (fun (seed, probes) ->
+      let g, make, init, steps = rotor_instance seed in
+      let via_run b =
+        probed ~probes (fun () ->
+            let r = Core.Engine.run ~graph:g ~balancer:b ~init ~steps () in
+            ( r.Core.Engine.final_loads,
+              r.Core.Engine.series,
+              r.Core.Engine.min_load_seen,
+              rotor_state b ))
+      in
+      let via_step b =
+        probed ~probes (fun () ->
+            let loads = ref init in
+            for t = 1 to steps do
+              loads := Core.Engine.step ~graph:g ~balancer:b ~step:t !loads
+            done;
+            (!loads, rotor_state b))
+      in
+      let fused = make () in
+      if Option.is_none fused.Core.Balancer.kernel then
+        QCheck.Test.fail_report "default-order rotor-router has no kernel";
+      let ref_b = make () in
+      let ref_loads = Core.Engine_ref.run ~graph:g ~balancer:ref_b ~init ~steps in
+      let run_fused = via_run fused and run_generic = via_run (no_op_tap (make ())) in
+      let step_fused = via_step (make ()) and step_generic = via_step (no_op_tap (make ())) in
+      let (loads, _, _, state), _ = run_fused in
+      let ok =
+        run_fused = run_generic
+        && step_fused = step_generic
+        && loads = ref_loads
+        && state = rotor_state ref_b
+        && fst step_fused = (ref_loads, state)
+        && ((not probes) || Array.length (snd run_fused) = steps)
+      in
+      if not ok then QCheck.Test.fail_reportf "seed %d probes %b diverged" seed probes;
+      ok)
+
+(* A negative load raises the rotor-router's Invalid_argument at the
+   same node on both paths: the rotors of the nodes before it have
+   advanced, the rest have not. *)
+let prop_kernel_negative_load =
+  QCheck.Test.make ~count:100 ~name:"rotor kernel raises on a negative load like assign"
+    QCheck.int
+    (fun seed ->
+      let g, make, init, _ = rotor_instance seed in
+      let init = Array.copy init in
+      let bad = Prng.Splitmix.int (Prng.Splitmix.create seed) (Array.length init) in
+      init.(bad) <- -1 - init.(bad);
+      let outcome f b =
+        match f b with
+        | () -> Error "no exception"
+        | exception Invalid_argument m -> Ok (m, rotor_state b)
+      in
+      let run b = ignore (Core.Engine.run ~graph:g ~balancer:b ~init ~steps:3 ()) in
+      let step b = ignore (Core.Engine.step ~graph:g ~balancer:b ~step:1 init) in
+      let fused = outcome run (make ()) in
+      let ok =
+        Result.is_ok fused
+        && fused = outcome run (no_op_tap (make ()))
+        && fused = outcome step (make ())
+        && fused = outcome step (no_op_tap (make ()))
+      in
+      if not ok then QCheck.Test.fail_reportf "seed %d: paths disagree" seed;
+      ok)
+
 let () =
   Alcotest.run "engine"
     [
@@ -402,6 +564,13 @@ let () =
           Alcotest.test_case "validation precedence" `Quick test_validation_precedence;
         ] );
       ("allocation", [ Alcotest.test_case "step allocation" `Quick test_step_allocation ]);
+      ( "rotor kernel",
+        [
+          Alcotest.test_case "broken kernel caught in round 1" `Quick
+            test_broken_kernel_caught;
+          QCheck_alcotest.to_alcotest prop_kernel_matches_generic;
+          QCheck_alcotest.to_alcotest prop_kernel_negative_load;
+        ] );
       ( "instrumentation",
         [
           Alcotest.test_case "series sampling" `Quick test_series_sampling;

@@ -88,6 +88,7 @@ let test_unfair_balancer_flagged () =
       self_loops;
       props = Core.Balancer.paper_stateless;
       persist = None;
+      kernel = None;
       assign =
         (fun ~step:_ ~node:_ ~load ~ports ->
           let q = load / dp and e = load mod dp in
@@ -113,6 +114,7 @@ let test_floor_violation_flagged () =
       self_loops = 1;
       props = Core.Balancer.paper_stateless;
       persist = None;
+      kernel = None;
       assign =
         (fun ~step:_ ~node:_ ~load ~ports ->
           ports.(0) <- load;

@@ -184,6 +184,36 @@ let prop_split_conserves =
       let s = Prng.Sample.geometric_split g ~total ~parts in
       Array.fold_left ( + ) 0 s = total && Array.for_all (fun x -> x >= 0) s)
 
+(* The power-of-two fast path of [int] against the general rejection
+   loop, written out here on a copied generator: same values and the
+   same generator state after every draw, for every bound 2^0..2^61. *)
+let prop_int_pow2_is_rejection_loop =
+  QCheck.Test.make ~name:"Splitmix.int 2^k = rejection loop, value and state"
+    ~count:50 QCheck.int
+    (fun seed ->
+      let rejection g bound =
+        let rec go () =
+          let v = Int64.to_int (Int64.shift_right_logical (Prng.Splitmix.next64 g) 2) in
+          let x = v mod bound in
+          if v - x + (bound - 1) >= 0 then x else go ()
+        in
+        go ()
+      in
+      let g = Prng.Splitmix.create seed in
+      let g' = Prng.Splitmix.copy g in
+      let ok = ref true in
+      for k = 0 to 61 do
+        for _ = 1 to 20 do
+          let a = Prng.Splitmix.int g (1 lsl k) in
+          let b = rejection g' (1 lsl k) in
+          if a <> b
+             || Prng.Splitmix.next64 (Prng.Splitmix.copy g)
+                <> Prng.Splitmix.next64 (Prng.Splitmix.copy g')
+          then ok := false
+        done
+      done;
+      !ok)
+
 (* [float] is [bits53] scaled: a copied generator drawing through each
    gives the same floats, bit for bit. *)
 let prop_float_is_bits53_scaled =
@@ -233,6 +263,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_int_in_range;
+          QCheck_alcotest.to_alcotest prop_int_pow2_is_rejection_loop;
           QCheck_alcotest.to_alcotest prop_split_conserves;
           QCheck_alcotest.to_alcotest prop_float_is_bits53_scaled;
         ] );
