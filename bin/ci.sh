@@ -69,6 +69,23 @@ if [ "$ref" != "$net" ]; then
   exit 1
 fi
 
+echo "== kernel smoke: packed and int kernel paths match the generic loop =="
+# Core.Engine.run scatters into 32-bit slots while no load is negative
+# and the total is at most 2^31 - 1, and into an int vector otherwise;
+# --audit forces the generic per-node loop.  point:4096 takes the packed
+# path, point:4294967296 the int fallback; each must print the audited
+# run's "final disc:" line.
+for init in point:4096 point:4294967296; do
+  fast=$(dune exec bin/lb_sim.exe -- --graph torus:16x16 --algo rotor-router \
+    --init "$init" --steps 200 | grep '^final disc:')
+  generic=$(dune exec bin/lb_sim.exe -- --graph torus:16x16 --algo rotor-router \
+    --init "$init" --steps 200 --audit | grep '^final disc:')
+  if [ "$fast" != "$generic" ]; then
+    echo "--init $init: kernel path diverged from the generic loop: '$fast' vs '$generic'" >&2
+    exit 1
+  fi
+done
+
 echo "== net smoke: lossy runs replay identically under one --net-seed =="
 run1=$(dune exec bin/lb_sim.exe -- --graph hypercube:6 --algo send-floor \
   --init random:8192 --steps 150 --drop 0.1 --delay 2 --staleness 2 --net-seed 7)

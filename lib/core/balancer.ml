@@ -8,6 +8,7 @@ type properties = {
 type persistence = {
   state_save : unit -> int array;
   state_restore : int array -> unit;
+  state_bound : int;
 }
 
 type assign = step:int -> node:int -> load:int -> ports:int array -> unit
@@ -15,6 +16,7 @@ type assign = step:int -> node:int -> load:int -> ports:int array -> unit
 type kernel = {
   reproduces : assign;
   round : step:int -> adj:int array -> int array -> int array -> int;
+  round_packed : step:int -> adj:int array -> int array -> Acc32.t -> int;
 }
 
 type t = {
@@ -48,6 +50,7 @@ let per_node_persistence ~bound arr =
                      bound))
             saved;
           Array.blit saved 0 arr 0 (Array.length arr));
+      state_bound = bound;
     }
 
 let paper_deterministic =

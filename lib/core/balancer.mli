@@ -34,6 +34,9 @@ type persistence = {
   state_restore : int array -> unit;
   (** Overwrite the balancer's state with a previously saved snapshot.
       @raise Invalid_argument on a length mismatch. *)
+  state_bound : int;
+  (** Every entry of a saved state lies in [\[0, state_bound)]; the
+      fault and network watchdogs flag any state outside it. *)
 }
 
 type assign = step:int -> node:int -> load:int -> ports:int array -> unit
@@ -50,6 +53,16 @@ type kernel = {
       resulting sends to [next.(adj.(u·d + k))] and the kept tokens to
       [next.(u)].  [next] holds zeros on entry.  Returns the tokens sent
       over original ports. *)
+  round_packed : step:int -> adj:int array -> int array -> Acc32.t -> int;
+  (** [round_packed ~step ~adj cur acc] is [round] with [acc] as the
+      scatter target: a zeroed {!Acc32} accumulator with one 32-bit slot
+      per node of [cur], where [adj] is that graph's adjacency (slots
+      are written unchecked).  The state updates, exceptions and return
+      value are [round]'s; the two differ only in where they add.
+      {!Engine.run} calls it only in a round where no load of [cur] is
+      negative and their total is at most {!Acc32.max_slot}, so no slot
+      can overflow, and drains [acc] back to zeros after it.
+      {!Engine.step} never calls it. *)
 }
 (** A whole-round kernel: one call per round instead of one [assign]
     call per node and a d⁺-entry ports buffer.
@@ -91,10 +104,10 @@ val per_node_persistence : bound:int -> int array -> persistence option
 (** [per_node_persistence ~bound arr] is the standard capability for a
     balancer whose whole mutable state is the per-node int array [arr],
     every entry in [\[0, bound)] (e.g. a rotor position per node, with
-    [bound] the number of rotor positions): save copies it, restore
-    blits into it.  Restore raises [Invalid_argument] on a length
-    mismatch or an entry outside [\[0, bound)], before it changes
-    anything — so a corrupt checkpoint or snapshot is refused up front
+    [bound] the number of rotor positions, also recorded as
+    [state_bound]): save copies it, restore blits into it.  Restore
+    raises [Invalid_argument] on a length mismatch or an entry outside
+    [\[0, bound)], before it changes anything — so a corrupt checkpoint or snapshot is refused up front
     instead of failing mid-run with an index error. *)
 
 val paper_deterministic : properties

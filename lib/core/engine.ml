@@ -25,6 +25,24 @@ let scan_into s loads =
   s.min <- !lo;
   s.total <- !total
 
+(* [scan_into] over the slots a packed round filled, fused with moving
+   them into [loads] and zeroing them for the next round: the packed
+   path's only pass over the vector besides the round itself. *)
+let drain_scan_into s acc loads =
+  let lo = ref max_int and hi = ref min_int and total = ref 0 in
+  for i = 0 to Array.length loads - 1 do
+    let o = i lsl 2 in
+    let x = Int32.to_int (Acc32.get acc o) in
+    Acc32.set acc o 0l;
+    loads.(i) <- x;
+    if x < !lo then lo := x;
+    if x > !hi then hi := x;
+    total := !total + x
+  done;
+  s.disc <- !hi - !lo;
+  s.min <- !lo;
+  s.total <- !total
+
 let check_shape ~fn ~graph ~balancer loads =
   let d = Graphs.Graph.degree graph in
   if balancer.Balancer.degree <> d then
@@ -82,8 +100,16 @@ let assign_round ~balancer ~adj ~d ~tracker ~probing ~step cur next =
   done;
   !moved
 
+(* The balancer's kernel, when the engine may run it in place of
+   [assign]. *)
+let active_kernel ~balancer ~tracker =
+  match balancer.Balancer.kernel, tracker with
+  | (Some k as kernel), None when k.Balancer.reproduces == balancer.Balancer.assign ->
+    kernel
+  | _ -> None
+
 (* One synchronous round from [cur] into [next], which must hold zeros;
-   [run] and [step] both drive it.  The balancer's whole-round kernel
+   [step] and [run]'s unpacked rounds drive it.  The balancer's whole-round kernel
    runs when it has one, the run is not audited and the record's
    [assign] is still the closure the kernel reproduces (a record
    rebuilt around another [assign], as {!Tap.wrap} makes, falls back);
@@ -92,10 +118,9 @@ let assign_round ~balancer ~adj ~d ~tracker ~probing ~step cur next =
 let round_into ~balancer ~adj ~d ~tracker ~probing ~step cur next =
   let sp = Obs.Prof.start "core.assign" in
   let moved =
-    match balancer.Balancer.kernel, tracker with
-    | Some k, None when k.Balancer.reproduces == balancer.Balancer.assign ->
-      k.Balancer.round ~step ~adj cur next
-    | _ -> assign_round ~balancer ~adj ~d ~tracker ~probing ~step cur next
+    match active_kernel ~balancer ~tracker with
+    | Some k -> k.Balancer.round ~step ~adj cur next
+    | None -> assign_round ~balancer ~adj ~d ~tracker ~probing ~step cur next
   in
   Obs.Prof.stop sp;
   moved
@@ -120,6 +145,10 @@ let step ~graph ~balancer ~step loads =
   end;
   next
 
+(* [run]'s packed target before its first packed round, shared so
+   that a run allocates nothing for it until then. *)
+let no_slots = Acc32.create 0
+
 let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
     ~balancer ~init ~steps () =
   check_shape ~fn:"run" ~graph ~balancer init;
@@ -138,8 +167,12 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
      node, and either way the dynamics are untouched (bit-identical
      results — property-tested in test_obs.ml). *)
   let probing = Obs.Probe.enabled () in
+  let kernel = active_kernel ~balancer ~tracker in
+  (* Both scatter targets are made on first use: [acc] by the first
+     packed round, [next] by the first int round. *)
   let cur = ref (Array.copy init) in
-  let next = ref (Array.make n 0) in
+  let next = ref [||] in
+  let acc = ref no_slots in
   let series = ref [] in
   let reached = ref None in
   let sc = { disc = 0; min = 0; total = 0 } in
@@ -154,17 +187,34 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
   (try
      for t = 1 to steps do
        if !reached <> None && stop_at_discrepancy <> None then raise Exit;
-       Array.fill !next 0 n 0;
        let moved =
-         round_into ~balancer ~adj ~d ~tracker ~probing ~step:t !cur !next
+         match kernel with
+         | Some k when sc.min >= 0 && sc.total <= Acc32.max_slot ->
+           (* No load is negative and every slot is at most the total,
+              so no 32-bit slot can overflow this round. *)
+           if Acc32.length !acc = 0 then acc := Acc32.create n;
+           let sp = Obs.Prof.start "core.assign" in
+           let moved = k.Balancer.round_packed ~step:t ~adj !cur !acc in
+           Obs.Prof.stop sp;
+           let sp = Obs.Prof.start "core.scan" in
+           drain_scan_into sc !acc !cur;
+           Obs.Prof.stop sp;
+           moved
+         | _ ->
+           if Array.length !next = 0 then next := Array.make n 0
+           else Array.fill !next 0 n 0;
+           let moved =
+             round_into ~balancer ~adj ~d ~tracker ~probing ~step:t !cur !next
+           in
+           let tmp = !cur in
+           cur := !next;
+           next := tmp;
+           let sp = Obs.Prof.start "core.scan" in
+           scan_into sc !cur;
+           Obs.Prof.stop sp;
+           moved
        in
-       let tmp = !cur in
-       cur := !next;
-       next := tmp;
        steps_done := t;
-       let sp = Obs.Prof.start "core.scan" in
-       scan_into sc !cur;
-       Obs.Prof.stop sp;
        let disc = sc.disc and mn = sc.min in
        (* Per-node checks cannot see a kernel that drops or duplicates a
           token; the round total can. *)
@@ -180,11 +230,13 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
           (the handler itself only sets a flag). *)
        Obs.Export.poll ();
        (* The fault layer's hook injects and removes tokens in place,
-          so the next round is checked against the total it leaves. *)
+          so the next round is checked against the total it leaves, and
+          its guard sees any negative load the hook leaves. *)
        (match hook with
         | Some f ->
           f t !cur;
-          total := Loads.total !cur
+          scan_into sc !cur;
+          total := sc.total
         | None -> ());
        (match stop_at_discrepancy with
         | Some target when disc <= target && !reached = None -> reached := Some t

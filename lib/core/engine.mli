@@ -50,7 +50,8 @@ val run :
       current load vector (not a copy).  A hook may add or remove
       tokens in place, as the fault layer does; the next round's total
       check is then made against the total it leaves, at the cost of
-      one more pass over the vector per round.
+      one more scan of the vector per round, which also gives the next
+      round's packing guard (below) the hook's minimum and total.
     - [stop_at_discrepancy]: stop early once the discrepancy is ≤ the
       given value; [result.reached_target] records when.
 
@@ -59,6 +60,17 @@ val run :
     or duplicates a token is caught in the round it does so.  The
     per-node checks come first: a negative original port, then a node
     whose ports do not sum to its load.
+
+    When the balancer's kernel runs, each round picks its scatter target
+    from the last scan (of the previous round, or of the hook's vector):
+    if no load is negative and the total is at most {!Acc32.max_slot},
+    no slot can overflow, so the kernel's [round_packed] adds into 4n
+    bytes of 32-bit slots, and one pass moves them back into the load
+    vector in place, zeroes them and makes the scan.  Any other round,
+    and every round without a kernel, scatters into a second n-word
+    vector.  Each target is allocated on its first use, so a packed run
+    holds one n-word vector (the copy of [init]) plus 4n bytes.  The
+    results are bit-identical either way.
 
     @raise Invalid_argument if the balancer's degree does not match the
     graph or [init] has the wrong length.
@@ -74,7 +86,8 @@ val step :
     span and, when probes are enabled, the same per-round probe.  Its
     only allocation is the returned array (plus a d⁺-sized port buffer
     when no kernel runs), so it is the cheap way to drive one round at a
-    time, as the open-system steppers do.  It makes no token-total
+    time, as the open-system steppers do.  It always scatters with the
+    kernel's int [round], never the packed one.  It makes no token-total
     check: that is left to its callers' ledgers (the open-system
     engine's [conserved] balances the final total against arrivals,
     departures and fault losses).

@@ -129,7 +129,42 @@ let make ?order ?init_rotor g ~self_loops =
         done;
         !moved
       in
-      Some { Balancer.reproduces = assign; round }
+      (* [round] with the two adds into [next] made into [acc]'s 32-bit
+         slots instead.  Copied rather than shared through a scatter
+         closure, which would cost a call per port. *)
+      let round_packed ~step:_ ~adj cur acc =
+        let moved = ref 0 in
+        for u = 0 to Array.length cur - 1 do
+          let x = cur.(u) in
+          if x > 0 then begin
+            (* A load below d⁺ needs no division. *)
+            let q = if x < dp then 0 else x / dp in
+            let e = x - (q * dp) in
+            let r = rotor.(u) in
+            let base = u * d in
+            let sent = ref 0 in
+            for k = 0 to d - 1 do
+              let w = pos.(k) - r in
+              let w = if w < 0 then w + dp else w in
+              let s = if w < e then q + 1 else q in
+              if s > 0 then begin
+                let v = adj.(base + k) in
+                let o = v lsl 2 in
+                Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int s));
+                sent := !sent + s
+              end
+            done;
+            let r' = r + e in
+            rotor.(u) <- (if r' >= dp then r' - dp else r');
+            moved := !moved + !sent;
+            let o = u lsl 2 in
+            Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int (x - !sent)))
+          end
+          else if x < 0 then negative_load ()
+        done;
+        !moved
+      in
+      Some { Balancer.reproduces = assign; round; round_packed }
   in
   {
     Balancer.name = Printf.sprintf "rotor-router(d°=%d)" self_loops;

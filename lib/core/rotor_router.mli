@@ -40,7 +40,9 @@ val make :
     a whole-round {!Balancer.kernel}, backed by a d⁺-entry inverse
     order table, that updates the same rotor vector; {!Engine} runs it
     in place of [assign] except in audited runs and under wrappers that
-    rebuild [assign].  A custom [order] gets no kernel, since its
+    rebuild [assign].  Its [round] and [round_packed] are one loop
+    written twice, differing only in their two adds (into an int vector
+    and into {!Acc32} slots).  A custom [order] gets no kernel, since its
     inverse tables would cost n·d⁺ more ints.
 
     @raise Invalid_argument if an order is not a permutation or an

@@ -85,10 +85,6 @@ let wrap_outages b ~d ~outage_until =
   in
   { b with Core.Balancer.self_loops = b.Core.Balancer.self_loops + 1; assign }
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let run ?(mode = Sequential) ?eps ?(watchdog = true) ?(sample_every = 1) ?hook
     ~graph ~make_balancer ~plan ~init ~steps () =
   let n = Graphs.Graph.n graph in
@@ -118,7 +114,6 @@ let run ?(mode = Sequential) ?eps ?(watchdog = true) ?(sample_every = 1) ?hook
     | b :: _ -> b
     | [] -> invalid_arg "Faults.Engine.run: no balancer instances"
   in
-  let dp_in = Core.Balancer.d_plus b0 in
   let initial_total = Core.Loads.total init in
   let wd =
     if not watchdog then None
@@ -126,9 +121,9 @@ let run ?(mode = Sequential) ?eps ?(watchdog = true) ?(sample_every = 1) ?hook
       Some
         (Watchdog.create
            ?state_range:
-             (if has_prefix ~prefix:"rotor-router" b0.Core.Balancer.name then
-                Some (0, dp_in)
-              else None)
+             (Option.map
+                (fun p -> (0, p.Core.Balancer.state_bound))
+                b0.Core.Balancer.persist)
            ~state_sources:
              (List.filter_map
                 (fun b ->

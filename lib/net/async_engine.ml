@@ -36,10 +36,6 @@ type report = {
 let conserved r =
   r.drained && r.final_total = r.initial_total + r.injected - r.lost
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let validate_plan ~n ~d ~steps plan =
   List.iter
     (fun { Faults.Schedule.step; event } ->
@@ -107,9 +103,9 @@ let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
       Some
         (Faults.Watchdog.create
            ?state_range:
-             (if has_prefix ~prefix:"rotor-router" balancer.Core.Balancer.name
-              then Some (0, dp)
-              else None)
+             (Option.map
+                (fun p -> (0, p.Core.Balancer.state_bound))
+                balancer.Core.Balancer.persist)
            ~state_sources:
              (match balancer.Core.Balancer.persist with
              | Some p -> [ (fun () -> p.Core.Balancer.state_save ()) ]

@@ -334,6 +334,24 @@ let test_step_allocation () =
     true
     (words <= float_of_int budget)
 
+(* On the packed path [run] allocates its copy of [init] and n 32-bit
+   slots, 1.5·n words in all, and no second n-word vector. *)
+let test_run_allocation () =
+  let g = Graphs.Gen.torus [ 64; 64 ] in
+  let n = Graphs.Graph.n g in
+  let balancer = Core.Rotor_router.make g ~self_loops:4 in
+  let init = Core.Loads.point_mass ~n ~total:(1000 * n) in
+  let steps = 4 in
+  let before = Gc.allocated_bytes () in
+  let r = Core.Engine.run ~graph:g ~balancer ~init ~steps () in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  check_int "mass conserved" (1000 * n) (Core.Loads.total r.Core.Engine.final_loads);
+  let budget = n + (n / 2) + 256 in
+  check_bool
+    (Printf.sprintf "%.0f words allocated, budget 1.5 n + 256 = %d" words budget)
+    true
+    (words <= float_of_int budget)
+
 (* Every balancer family of Table 1, each with a view of its mutable
    state after the run: the persisted per-node state, the position of a
    private random stream, or the quasirandom accumulator bound. *)
@@ -393,42 +411,87 @@ let prop_step_iterates_to_run =
 
 (* --- The rotor-router's whole-round kernel --- *)
 
-(* A kernel that corrupts the round after the real one ran, installed
-   through the public field with the same [reproduces], so the engine
-   runs it. *)
-let with_corrupt_kernel b corrupt =
+let kernel_of b =
   match b.Core.Balancer.kernel with
   | None -> Alcotest.fail "default-order rotor-router has no kernel"
-  | Some k ->
-    let round ~step ~adj cur next =
-      let moved = k.Core.Balancer.round ~step ~adj cur next in
-      corrupt ~adj next;
-      moved
-    in
-    { b with Core.Balancer.kernel = Some { k with Core.Balancer.round } }
+  | Some k -> k
 
+(* Adds [x] to node [v]'s slot of a packed accumulator. *)
+let acc_add acc v x =
+  let o = v lsl 2 in
+  Core.Acc32.set acc o (Int32.add (Core.Acc32.get acc o) (Int32.of_int x))
+
+(* A kernel whose two variants both corrupt the round after the real
+   one ran, installed through the public field with the same
+   [reproduces], so the engine runs it.  [corrupt ~adj add] makes its
+   change through [add v x], which adds [x] to node [v]'s next load in
+   whichever target the round scattered into. *)
+let with_corrupt_kernel b corrupt =
+  let k = kernel_of b in
+  let round ~step ~adj cur next =
+    let moved = k.Core.Balancer.round ~step ~adj cur next in
+    corrupt ~adj (fun v x -> next.(v) <- next.(v) + x);
+    moved
+  in
+  let round_packed ~step ~adj cur acc =
+    let moved = k.Core.Balancer.round_packed ~step ~adj cur acc in
+    corrupt ~adj (acc_add acc);
+    moved
+  in
+  { b with Core.Balancer.kernel = Some { k with Core.Balancer.round; round_packed } }
+
+(* A kernel that counts the rounds each variant ran. *)
+let with_counting_kernel b =
+  let k = kernel_of b in
+  let ints = ref 0 and packed = ref 0 in
+  let round ~step ~adj cur next =
+    incr ints;
+    k.Core.Balancer.round ~step ~adj cur next
+  in
+  let round_packed ~step ~adj cur acc =
+    incr packed;
+    k.Core.Balancer.round_packed ~step ~adj cur acc
+  in
+  ( { b with Core.Balancer.kernel = Some { k with Core.Balancer.round; round_packed } },
+    fun () -> (!ints, !packed) )
+
+(* The same corruptions on both paths of [run]: a total of 320 takes the
+   packed one, a total of 2³² the int one. *)
 let test_broken_kernel_caught () =
   let g = Graphs.Gen.torus [ 4; 4 ] in
-  let init = Array.make 16 20 in
-  let outcome corrupt =
+  let outcome ~per_node corrupt =
     let balancer = with_corrupt_kernel (Core.Rotor_router.make g ~self_loops:4) corrupt in
     try
-      ignore (Core.Engine.run ~graph:g ~balancer ~init ~steps:5 ());
+      ignore (Core.Engine.run ~graph:g ~balancer ~init:(Array.make 16 per_node) ~steps:5 ());
       None
     with Core.Engine.Invariant_violation m -> Some m
   in
+  let drop ~adj:_ add = add 0 (-1) in
+  (* Node 0 sends q = load / 8 tokens on port 0, so the extra 2 doubles
+     that scatter at load 20. *)
+  let double ~adj add = add adj.(0) 2 in
+  let conserve ~adj:_ _ = () in
   Alcotest.(check (option string))
     "drop one token"
     (Some "rotor-router(d°=4): step 1 changed the token total from 320 to 319")
-    (outcome (fun ~adj:_ next -> next.(0) <- next.(0) - 1));
+    (outcome ~per_node:20 drop);
   Alcotest.(check (option string))
     "double one scatter"
     (Some "rotor-router(d°=4): step 1 changed the token total from 320 to 322")
-    (outcome (fun ~adj next ->
-         (* Node 0 sends 2 tokens on port 0 (q = 20 / 8). *)
-         next.(adj.(0)) <- next.(adj.(0)) + 2));
+    (outcome ~per_node:20 double);
   Alcotest.(check (option string)) "the real kernel conserves" None
-    (outcome (fun ~adj:_ _ -> ()))
+    (outcome ~per_node:20 conserve);
+  let big = 1 lsl 28 in
+  Alcotest.(check (option string))
+    "drop one token, int path"
+    (Some "rotor-router(d°=4): step 1 changed the token total from 4294967296 to 4294967295")
+    (outcome ~per_node:big drop);
+  Alcotest.(check (option string))
+    "one extra scatter, int path"
+    (Some "rotor-router(d°=4): step 1 changed the token total from 4294967296 to 4294967298")
+    (outcome ~per_node:big double);
+  Alcotest.(check (option string)) "the real kernel conserves, int path" None
+    (outcome ~per_node:big conserve)
 
 (* A random instance for the differential property: a random regular
    graph or a torus, d° in [0, 2d], random initial rotors, and loads
@@ -467,6 +530,58 @@ let rotor_state b =
   match b.Core.Balancer.persist with
   | Some p -> p.Core.Balancer.state_save ()
   | None -> Alcotest.fail "rotor-router without persistence"
+
+(* What a run leaves, for comparing the kernel's paths with the
+   Tap-forced generic one. *)
+let outcome_of b r =
+  ( r.Core.Engine.final_loads,
+    r.Core.Engine.series,
+    r.Core.Engine.min_load_seen,
+    rotor_state b )
+
+let same_as_generic ~label ~steps ?hook ~graph ~make init =
+  let counted, counts = with_counting_kernel (make ()) in
+  let fused = Core.Engine.run ?hook ~graph ~balancer:counted ~init ~steps () in
+  let generic_b = no_op_tap (make ()) in
+  let generic = Core.Engine.run ?hook ~graph ~balancer:generic_b ~init ~steps () in
+  check_bool (label ^ ": bit-identical to the generic path") true
+    (outcome_of counted fused = outcome_of generic_b generic);
+  counts ()
+
+(* A total above 2³¹ - 1, here just over 2³², is never packed: every
+   round takes the int kernel, and its loads, series, minimum and rotors
+   match the generic path's ([Engine_ref] is too slow at this total). *)
+let test_guard_falls_back () =
+  let g = Graphs.Gen.torus [ 4; 4 ] in
+  let init = Array.init 16 (fun u -> (1 lsl 28) + (37 * u)) in
+  let make () =
+    Core.Rotor_router.make g ~self_loops:4 ~init_rotor:(fun u -> (5 * u) mod 8)
+  in
+  let ints, packed = same_as_generic ~label:"total 2^32" ~steps:30 ~graph:g ~make init in
+  check_int "int rounds" 30 ints;
+  check_int "packed rounds" 0 packed
+
+(* A hook that lifts the total past 2³¹ - 1 after round 3 and cuts it
+   back after round 8 switches paths twice; the run stays bit-identical.
+   A hook that leaves a negative load sends the next round to the int
+   kernel, which raises as [assign] does. *)
+let test_guard_switches_mid_run () =
+  let g = Graphs.Gen.torus [ 4; 4 ] in
+  let init = Array.init 16 (fun u -> 20 + u) in
+  let make () = Core.Rotor_router.make g ~self_loops:4 in
+  let hook t loads =
+    if t = 3 then loads.(5) <- loads.(5) + (1 lsl 31);
+    if t = 8 then Array.iteri (fun u x -> loads.(u) <- x / 1024) loads
+  in
+  let ints, packed = same_as_generic ~label:"lift and cut" ~steps:12 ~hook ~graph:g ~make init in
+  check_int "int rounds" 5 ints;
+  check_int "packed rounds" 7 packed;
+  let balancer, counts = with_counting_kernel (make ()) in
+  let hook t loads = if t = 2 then loads.(3) <- -1 in
+  (match Core.Engine.run ~hook ~graph:g ~balancer ~init ~steps:5 () with
+  | _ -> Alcotest.fail "negative load not raised"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check (pair int int)) "rounds by path (int, packed)" (1, 2) (counts ())
 
 (* Cumulative probe tokens_moved per snapshot, collected with probes
    on at cadence 1 (or [||] with probes off). *)
@@ -563,11 +678,17 @@ let () =
           Alcotest.test_case "step reports like run" `Quick test_step_reports_like_run;
           Alcotest.test_case "validation precedence" `Quick test_validation_precedence;
         ] );
-      ("allocation", [ Alcotest.test_case "step allocation" `Quick test_step_allocation ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "step allocation" `Quick test_step_allocation;
+          Alcotest.test_case "run allocation" `Quick test_run_allocation;
+        ] );
       ( "rotor kernel",
         [
           Alcotest.test_case "broken kernel caught in round 1" `Quick
             test_broken_kernel_caught;
+          Alcotest.test_case "guard falls back at 2^32" `Quick test_guard_falls_back;
+          Alcotest.test_case "guard switches mid-run" `Quick test_guard_switches_mid_run;
           QCheck_alcotest.to_alcotest prop_kernel_matches_generic;
           QCheck_alcotest.to_alcotest prop_kernel_negative_load;
         ] );

@@ -282,6 +282,35 @@ let test_fault_injection_detected_by_watchdog () =
        d.Faults.Watchdog.kind = Faults.Watchdog.Conservation
        && d.Faults.Watchdog.step = 4)
 
+(* A rotor-router* whose saved state shows node 0's rotor at 2d − 1.
+   Its rotor turns over the 2d − 1 ports other than the special
+   self-loop, so that is one past the last position, although it is
+   below d⁺ = 2d. *)
+let stuck_star g =
+  let b = Core.Rotor_router_star.make g in
+  match b.Core.Balancer.persist with
+  | None -> Alcotest.fail "rotor-router* without persistence"
+  | Some p ->
+    let state_save () =
+      let s = p.Core.Balancer.state_save () in
+      s.(0) <- (2 * Graphs.Graph.degree g) - 1;
+      s
+    in
+    { b with Core.Balancer.persist = Some { p with Core.Balancer.state_save } }
+
+let test_star_state_range () =
+  let g = Graphs.Gen.torus [ 4; 4 ] in
+  let init = Array.make 16 9 in
+  match
+    Faults.Engine.run ~graph:g ~make_balancer:(fun () -> stuck_star g) ~plan:[] ~init
+      ~steps:3 ()
+  with
+  | _ -> Alcotest.fail "rotor-router* state 2d - 1 not flagged"
+  | exception Faults.Watchdog.Invariant_violation d ->
+    check_bool "kind" true (d.Faults.Watchdog.kind = Faults.Watchdog.State_range);
+    check_bool "node named" true (d.Faults.Watchdog.node = Some 0);
+    Alcotest.(check string) "range" "state 7 outside [0, 7)" d.Faults.Watchdog.detail
+
 let test_plan_validation () =
   let g = Graphs.Gen.cycle 4 in
   let init = Array.make 4 1 in
@@ -360,6 +389,7 @@ let () =
             test_outage_conserves_and_expires;
           Alcotest.test_case "watchdog catches corruption" `Quick
             test_fault_injection_detected_by_watchdog;
+          Alcotest.test_case "rotor-router* state range" `Quick test_star_state_range;
           Alcotest.test_case "plan validation" `Quick test_plan_validation;
           QCheck_alcotest.to_alcotest prop_sequential_equals_sharded_under_faults;
         ] );

@@ -393,6 +393,30 @@ let prop_conservation_under_random_faults =
                + report.Net.Async_engine.injected - report.Net.Async_engine.lost)
         (algo_specs d))
 
+(* A rotor-router* whose saved state shows node 0's rotor at 2d − 1,
+   one past the last of the 2d − 1 positions its rotor turns over: the
+   network watchdog must flag it like the fault layer's. *)
+let test_star_state_range () =
+  let g = Graphs.Gen.torus [ 4; 4 ] in
+  let b = Core.Rotor_router_star.make g in
+  let balancer =
+    match b.Core.Balancer.persist with
+    | None -> Alcotest.fail "rotor-router* without persistence"
+    | Some p ->
+      let state_save () =
+        let s = p.Core.Balancer.state_save () in
+        s.(0) <- (2 * Graphs.Graph.degree g) - 1;
+        s
+      in
+      { b with Core.Balancer.persist = Some { p with Core.Balancer.state_save } }
+  in
+  match Net.Async_engine.run ~graph:g ~balancer ~init:(Array.make 16 9) ~steps:3 () with
+  | _ -> Alcotest.fail "rotor-router* state 2d - 1 not flagged"
+  | exception Faults.Watchdog.Invariant_violation d ->
+    check_bool "kind" true (d.Faults.Watchdog.kind = Faults.Watchdog.State_range);
+    check_bool "node named" true (d.Faults.Watchdog.node = Some 0);
+    Alcotest.(check string) "range" "state 7 outside [0, 7)" d.Faults.Watchdog.detail
+
 let () =
   Alcotest.run "net"
     [
@@ -412,6 +436,7 @@ let () =
             test_staleness_gates_balancing;
           Alcotest.test_case "invalid configs rejected" `Quick
             test_invalid_configs_rejected;
+          Alcotest.test_case "rotor-router* state range" `Quick test_star_state_range;
         ] );
       ( "properties",
         [
