@@ -99,6 +99,19 @@ let make ?order ?init_rotor g ~self_loops =
       for i = 0 to dp - 1 do
         pos.(ord.(i)) <- i
       done;
+      (* The port loop has no data-dependent branch.  Every value below
+         lies in (-2⁶², 2⁶²), so on OCaml's 63-bit ints [v asr 62] is -1
+         for a negative v and 0 otherwise, and [v lsr 62] is 1 or 0:
+         - the window offset w = pos.(k) - r ∈ (-d⁺, d⁺) wraps by
+           [dp land (w asr 62)];
+         - port k gets q + 1 when w < e, that is q + ((w - e) lsr 62);
+         - the rotor r + e ∈ [0, 2·d⁺) wraps the same way from r + e - d⁺.
+         Every original port is scattered, a zero send as a zero add: at
+         the small loads of an open system w < e and s > 0 are coin flips,
+         and the mispredicted branch on s cost more than the add.  The
+         shift counts are constants, as the [lsl 2] slot offset is:
+         under dune's [-opaque] dev profile a shared run-time count would
+         be a variable shift on every port. *)
       let round ~step:_ ~adj cur next =
         let moved = ref 0 in
         for u = 0 to Array.length cur - 1 do
@@ -112,16 +125,14 @@ let make ?order ?init_rotor g ~self_loops =
             let sent = ref 0 in
             for k = 0 to d - 1 do
               let w = pos.(k) - r in
-              let w = if w < 0 then w + dp else w in
-              let s = if w < e then q + 1 else q in
-              if s > 0 then begin
-                let v = adj.(base + k) in
-                next.(v) <- next.(v) + s;
-                sent := !sent + s
-              end
+              let w = w + (dp land (w asr 62)) in
+              let s = q + ((w - e) lsr 62) in
+              let v = adj.(base + k) in
+              next.(v) <- next.(v) + s;
+              sent := !sent + s
             done;
-            let r' = r + e in
-            rotor.(u) <- (if r' >= dp then r' - dp else r');
+            let r' = r + e - dp in
+            rotor.(u) <- r' + (dp land (r' asr 62));
             moved := !moved + !sent;
             next.(u) <- next.(u) + x - !sent
           end
@@ -145,17 +156,14 @@ let make ?order ?init_rotor g ~self_loops =
             let sent = ref 0 in
             for k = 0 to d - 1 do
               let w = pos.(k) - r in
-              let w = if w < 0 then w + dp else w in
-              let s = if w < e then q + 1 else q in
-              if s > 0 then begin
-                let v = adj.(base + k) in
-                let o = v lsl 2 in
-                Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int s));
-                sent := !sent + s
-              end
+              let w = w + (dp land (w asr 62)) in
+              let s = q + ((w - e) lsr 62) in
+              let o = adj.(base + k) lsl 2 in
+              Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int s));
+              sent := !sent + s
             done;
-            let r' = r + e in
-            rotor.(u) <- (if r' >= dp then r' - dp else r');
+            let r' = r + e - dp in
+            rotor.(u) <- r' + (dp land (r' asr 62));
             moved := !moved + !sent;
             let o = u lsl 2 in
             Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int (x - !sent)))

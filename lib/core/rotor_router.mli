@@ -42,8 +42,11 @@ val make :
     in place of [assign] except in audited runs and under wrappers that
     rebuild [assign].  Its [round] and [round_packed] are one loop
     written twice, differing only in their two adds (into an int vector
-    and into {!Acc32} slots).  A custom [order] gets no kernel, since its
-    inverse tables would cost n·d⁺ more ints.
+    and into {!Acc32} slots).  Their port loop is branch-free: the window
+    test and the rotor wrap are sign-bit arithmetic on 63-bit ints, and
+    every original port is scattered, a zero send as a zero add.  A
+    custom [order] gets no kernel, since its inverse tables would cost
+    n·d⁺ more ints.
 
     @raise Invalid_argument if an order is not a permutation or an
     initial rotor position is out of range. *)

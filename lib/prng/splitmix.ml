@@ -54,6 +54,56 @@ let int g bound =
     !r
   end
 
+(* The batched draws below hold the state in a local across the whole
+   batch and store it back once.  [advance] and [mix64] inline only
+   inside this module under dune's [-opaque] dev profile, so a caller
+   in another module looping over [int] or [bits53] pays a call and a
+   state load and store per draw. *)
+
+let add_uniform g a c =
+  let bound = Array.length a in
+  if c > 0 then begin
+    if bound <= 0 then invalid_arg "Splitmix.add_uniform: empty array";
+    let s = ref (Bytes.get_int64_ne g 0) in
+    if bound land (bound - 1) = 0 then
+      for _ = 1 to c do
+        s := Int64.add !s golden_gamma;
+        let u = Int64.to_int (Int64.shift_right_logical (mix64 !s) 2) land (bound - 1) in
+        a.(u) <- a.(u) + 1
+      done
+    else begin
+      let mask = 0x3FFF_FFFF_FFFF_FFFF in
+      for _ = 1 to c do
+        let r = ref (-1) in
+        while !r < 0 do
+          s := Int64.add !s golden_gamma;
+          let v = Int64.to_int (Int64.shift_right_logical (mix64 !s) 2) land mask in
+          let x = v mod bound in
+          if v - x + (bound - 1) >= 0 then r := x
+        done;
+        a.(!r) <- a.(!r) + 1
+      done
+    end;
+    Bytes.set_int64_ne g 0 !s
+  end
+
+let knuth_count g ~leaves l =
+  let s = ref (Bytes.get_int64_ne g 0) in
+  let k = ref 0 in
+  for _ = 1 to leaves do
+    let p = ref 1.0 in
+    let running = ref true in
+    while !running do
+      s := Int64.add !s golden_gamma;
+      (* 2⁻⁵³ is a power of two, so this product is [float]'s division. *)
+      let bits = Int64.to_int (Int64.shift_right_logical (mix64 !s) 11) in
+      p := !p *. (float_of_int bits *. 0x1p-53);
+      if !p <= l then running := false else incr k
+    done
+  done;
+  Bytes.set_int64_ne g 0 !s;
+  !k
+
 let int_in g lo hi =
   if hi < lo then invalid_arg "Splitmix.int_in: empty range";
   lo + int g (hi - lo + 1)

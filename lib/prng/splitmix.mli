@@ -27,6 +27,27 @@ val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)].  [bound] must be
     positive.  @raise Invalid_argument otherwise. *)
 
+val add_uniform : t -> int array -> int -> unit
+(** [add_uniform g a c] adds one to [c] uniformly drawn entries of [a]
+    ([c ≤ 0] draws nothing).  It is [c] calls of
+    [let u = int g (Array.length a) in a.(u) <- a.(u) + 1], draw for
+    draw: the same entries in the same order, the rejection path of
+    {!int} included when the length is not a power of two, and the same
+    generator state afterwards.  The state stays in a register across
+    the batch, so the loop allocates nothing and costs no call per draw.
+    @raise Invalid_argument if [c > 0] and [a] is empty. *)
+
+val knuth_count : t -> leaves:int -> float -> int
+(** [knuth_count g ~leaves l] is the sum of [leaves] independent counts
+    by Knuth's product-of-uniforms method with threshold [l]: each
+    count multiplies uniforms [float g 1.0] into a running product,
+    starting from 1, until the product is [≤ l], and counts the
+    uniforms before that one.  With [l = exp (-λ)] each count is
+    Poisson(λ).  The result and the generator state afterwards are those
+    of that loop written out over {!float}, bit for bit ([leaves ≤ 0]
+    draws nothing).  Like {!add_uniform}, it keeps the state in a
+    register and the product unboxed for the whole call. *)
+
 val int_in : t -> int -> int -> int
 (** [int_in g lo hi] is uniform in the inclusive range [\[lo, hi\]].
     @raise Invalid_argument if [hi < lo]. *)

@@ -20,10 +20,9 @@ type t = src list
    threshold: a rate above 30 is split in half until the halves are at
    most 30.  Halving a float is exact and so is [rate -. rate /. 2.0]
    (Sterbenz), so all 2^j leaves of that split have the same rate and
-   are drawn one after another off the one stream.
-   Each uniform is [Splitmix.float rng 1.0] written out over [bits53] —
-   the same stream and the same products — so it stays an unboxed local
-   instead of a float boxed on return from another compilation unit. *)
+   are drawn one after another off the one stream — by one
+   [Splitmix.knuth_count] call for the whole count, which keeps the
+   stream's state and the running product unboxed in registers. *)
 let poisson_draw rng rate =
   if rate <= 0.0 then 0
   else begin
@@ -32,17 +31,7 @@ let poisson_draw rng rate =
       leaf := !leaf /. 2.0;
       leaves := 2 * !leaves
     done;
-    let l = exp (-. !leaf) in
-    let k = ref 0 in
-    for _ = 1 to !leaves do
-      let p = ref 1.0 in
-      let running = ref true in
-      while !running do
-        p := !p *. (float_of_int (Prng.Splitmix.bits53 rng) /. 9007199254740992.0);
-        if !p <= l then running := false else incr k
-      done
-    done;
-    !k
+    Prng.Splitmix.knuth_count rng ~leaves:!leaves (exp (-. !leaf))
   end
 
 let factor shape ~round =
@@ -75,16 +64,11 @@ let argmax loads =
   !best
 
 let inject_src src ~round loads =
-  let n = Array.length loads in
   let c = count src ~round in
   if c <= 0 then 0
   else begin
     (match src.placement with
-    | Uniform_nodes rng ->
-      for _ = 1 to c do
-        let u = Prng.Splitmix.int rng n in
-        loads.(u) <- loads.(u) + 1
-      done
+    | Uniform_nodes rng -> Prng.Splitmix.add_uniform rng loads c
     | At_node u -> loads.(u) <- loads.(u) + c
     | At_max_loaded ->
       let u = argmax loads in
@@ -92,8 +76,14 @@ let inject_src src ~round loads =
     c
   end
 
-let inject t ~round ~loads =
-  List.fold_left (fun acc src -> acc + inject_src src ~round loads) 0 t
+(* A plain recursion rather than a fold, which would allocate a closure
+   over [round] and [loads] every round. *)
+let rec inject_from acc t ~round loads =
+  match t with
+  | [] -> acc
+  | src :: rest -> inject_from (acc + inject_src src ~round loads) rest ~round loads
+
+let inject t ~round ~loads = inject_from 0 t ~round loads
 
 let uniform ~rng ~per_round =
   if per_round < 0 then invalid_arg "Arrival.uniform: negative batch";

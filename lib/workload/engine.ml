@@ -38,8 +38,6 @@ type result = {
   diverged : bool;
 }
 
-let total loads = Array.fold_left ( + ) 0 loads
-
 (* Steady window = series after the warm-up cutoff.  Fixed cutoffs are
    clamped to the series length; Auto uses MSER on the discrepancy
    trace (the quantity E17's band is about). *)
@@ -111,8 +109,8 @@ let run config ~init stepper =
     Steady.diverging tail
   in
   let conserved =
-    total !loads
-    = total init + !arrivals + !fault_injected - !departures - !fault_lost
+    Lifetime.total !loads
+    = Lifetime.total init + !arrivals + !fault_injected - !departures - !fault_lost
   in
   {
     rounds_run = config.rounds;

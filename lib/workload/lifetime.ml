@@ -27,7 +27,12 @@ let fixed ~rng ~rounds =
      after it was written, so one extra slot suffices. *)
   Fixed { rng; rounds; calendar = Array.make (rounds + 1) 0 }
 
-let total loads = Array.fold_left ( + ) 0 loads
+let total loads =
+  let s = ref 0 in
+  for u = 0 to Array.length loads - 1 do
+    s := !s + loads.(u)
+  done;
+  !s
 
 (* Remove [count] tokens starting from a uniformly drawn node, walking
    cyclically to the next non-empty node.  The caller guarantees

@@ -44,6 +44,10 @@ val fixed : rng:Prng.Splitmix.t -> rounds:int -> t
     clamped to the current in-flight total.
     @raise Invalid_argument unless [rounds ≥ 1]. *)
 
+val total : int array -> int
+(** [total loads] is the token total, by a plain loop: {!fixed} takes it
+    every round, and {!Engine} for its conservation check. *)
+
 val depart : t -> round:int -> arrivals:int -> loads:int array -> int
 (** Apply one round of departures ([round] is 1-based, [arrivals] is
     this round's injection count, needed by {!fixed}'s calendar).

@@ -531,6 +531,54 @@ let rotor_state b =
   | Some p -> p.Core.Balancer.state_save ()
   | None -> Alcotest.fail "rotor-router without persistence"
 
+(* Every single-node round of both kernel variants against [assign]'s
+   ports, for d⁺ ∈ {2, 3, 8, 16} with d° ∈ {0, d}, every rotor r < d⁺
+   and every load x < 3·d⁺: the send on each original port, the kept
+   tokens, the moved count and the new rotor.  Node 0 of the complete
+   graph K_{d+1} reaches every other node by its own port, so each
+   port's send is one entry of the scatter target.  This pins the
+   sign-bit wrap and compare of the kernel's port loop at every
+   boundary, which [prop_kernel_matches_generic] only samples. *)
+let test_kernel_table () =
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  List.iter
+    (fun (d, self_loops) ->
+      let g = Graphs.Gen.complete (d + 1) in
+      let n = d + 1 and dp = d + self_loops in
+      let adj = Graphs.Graph.adjacency g in
+      let make r = Core.Rotor_router.make g ~self_loops ~init_rotor:(fun _ -> r) in
+      for r = 0 to dp - 1 do
+        for x = 0 to (3 * dp) - 1 do
+          let want = make r in
+          let ports = Array.make dp 0 in
+          want.Core.Balancer.assign ~step:1 ~node:0 ~load:x ~ports;
+          let sends = Array.sub ports 0 d in
+          let moved = Array.fold_left ( + ) 0 sends in
+          let expect = (sends, x - moved, moved, rotor_state want) in
+          let cur = Array.make n 0 in
+          cur.(0) <- x;
+          let check variant run =
+            let b = make r in
+            let next, moved = run (kernel_of b) in
+            let sends = Array.init d (fun k -> next.(adj.(k))) in
+            let got = (sends, next.(0), moved, rotor_state b) in
+            if got <> expect then fail "%s d=%d d°=%d r=%d x=%d" variant d self_loops r x
+          in
+          check "round" (fun k ->
+              let next = Array.make n 0 in
+              let moved = k.Core.Balancer.round ~step:1 ~adj cur next in
+              (next, moved));
+          check "round_packed" (fun k ->
+              let acc = Core.Acc32.create n in
+              let moved = k.Core.Balancer.round_packed ~step:1 ~adj cur acc in
+              let slot v = Int32.to_int (Core.Acc32.get acc (v lsl 2)) in
+              (Array.init n slot, moved))
+        done
+      done)
+    [ (2, 0); (1, 1); (3, 0); (8, 0); (4, 4); (16, 0); (8, 8) ];
+  Alcotest.(check (list string)) "rounds that differ from assign" [] (List.rev !failures)
+
 (* What a run leaves, for comparing the kernel's paths with the
    Tap-forced generic one. *)
 let outcome_of b r =
@@ -685,6 +733,7 @@ let () =
         ] );
       ( "rotor kernel",
         [
+          Alcotest.test_case "single-node table against assign" `Quick test_kernel_table;
           Alcotest.test_case "broken kernel caught in round 1" `Quick
             test_broken_kernel_caught;
           Alcotest.test_case "guard falls back at 2^32" `Quick test_guard_falls_back;

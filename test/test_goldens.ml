@@ -270,6 +270,52 @@ let test_open_system_golden () =
     |]
     r.Workload.Engine.final_loads
 
+let loads_digest loads =
+  Digest.to_hex
+    (Digest.string (String.concat " " (Array.to_list (Array.map string_of_int loads))))
+
+(* The same open system on a 10x10 torus: n = 100 is not a power of two,
+   so every uniform placement can take the rejection path of
+   [Splitmix.int], and the rate 180 (90% of 2n) splits into eight Knuth
+   leaves. *)
+let test_open_system_golden_100 () =
+  let graph = Graphs.Gen.torus [ 10; 10 ] in
+  let balancer = Core.Rotor_router.make graph ~self_loops:4 in
+  let arrival =
+    Workload.Arrival.overlay
+      (Workload.Arrival.poisson ~rng:(Prng.Splitmix.create 23) ~rate:180.0)
+      (Workload.Arrival.flash_crowd ~at:10 ~size:1000 ~node:37 ())
+  in
+  let lifetime = Workload.Lifetime.service ~rate:2 in
+  let config = Workload.Engine.config ~arrival ~lifetime ~rounds:48 () in
+  let r =
+    Harness.Openrun.run ~config ~graph ~balancer ~init:(Array.make 100 0) ()
+  in
+  Alcotest.(check (list int64))
+    "overload series (bit patterns)"
+    (bits
+       [
+         0x1p+2; 0x1p+2; 0x1.da12f684bda12p+1;
+         0x1.8be054741fab9p+1; 0x1.6eeeeeeeeeefap+1; 0x1.8be054741fab9p+1;
+         0x1.faee41e6a7498p+1; 0x1.580000000000ap+1; 0x1.958ed2308159bp+1;
+         0x1.76baaf987db6ap+3; 0x1.755059b184aefp+3; 0x1.4488d6e6f9593p+3;
+         0x1.1d909dadf3a0dp+3; 0x1.fcccccccccce4p+2; 0x1.cb4357fe1f725p+2;
+         0x1.9fe21a291c083p+2; 0x1.8b390610fc5cbp+2; 0x1.6570e046d2ffcp+2;
+         0x1.551f86ef9b1d6p+2; 0x1.32dafdb3f0affp+2; 0x1.324330b32c88ap+2;
+         0x1.12cfcc95f54a1p+2; 0x1.08beea4e1a08ep+2; 0x1.01f32fa26711cp+2;
+         0x1.06559fe40a7c4p+2; 0x1.d291099c655a6p+1; 0x1.ed9b8396ba9dfp+1;
+         0x1.dc93a581c93a9p+1; 0x1.c584148d7327ap+1; 0x1.a05f08e8d5d47p+1;
+         0x1.9db40eb2d5214p+1; 0x1.7d9e2c776ca05p+1; 0x1.838d130bf1cbdp+1;
+         0x1.6d926d926d92ap+1; 0x1.590ec9c6d1a9ep+1; 0x1.4d6633443e961p+1;
+         0x1.5020408102042p+1; 0x1.462d4c2eab95p+1; 0x1.28ce795f9064ap+1;
+         0x1.34a70913f8bcdp+1; 0x1.2e71463ae7149p+1; 0x1.36b0df6b0df6fp+1;
+         0x1.4514514514514p+1; 0x1.362d7e239129cp+1; 0x1.142a745335eaep+1;
+         0x1.194c1bacf914ep+1; 0x1.11cbfa862911cp+1; 0x1.10cb58f6ec079p+1;
+       ])
+    (bits (Array.to_list (Array.map snd r.Workload.Engine.overload_series)));
+  Alcotest.(check string) "final loads digest" "cd45a89dd63ce07cfc4d7c1c02f5d740"
+    (loads_digest r.Workload.Engine.final_loads)
+
 let () =
   (* Guard: if the pinned PRNG stream ever changes, regenerate ALL seeded
      goldens, not just the failing one. *)
@@ -302,5 +348,9 @@ let () =
             test_deterministic_generators_golden;
         ] );
       ( "open system",
-        [ Alcotest.test_case "torus 8x8, 64 rounds" `Quick test_open_system_golden ] );
+        [
+          Alcotest.test_case "torus 8x8, 64 rounds" `Quick test_open_system_golden;
+          Alcotest.test_case "torus 10x10, 48 rounds" `Quick
+            test_open_system_golden_100;
+        ] );
     ]

@@ -214,6 +214,135 @@ let prop_int_pow2_is_rejection_loop =
       done;
       !ok)
 
+(* Whether two generators are at the same point of their streams. *)
+let same_state g g' =
+  let next r = Prng.Splitmix.next64 (Prng.Splitmix.copy r) in
+  next g = next g'
+
+(* [add_uniform] against [c] written-out [int] placements on a copied
+   generator: the same array and the same generator state, for lengths
+   1, 2^k and not powers of two, and counts 0 to a few thousand. *)
+let prop_add_uniform_is_int_loop =
+  QCheck.Test.make ~name:"Splitmix.add_uniform = int loop, array and state" ~count:20
+    QCheck.int
+    (fun seed ->
+      let g = Prng.Splitmix.create seed in
+      let g' = Prng.Splitmix.copy g in
+      let counts = Prng.Splitmix.create (seed + 1) in
+      List.for_all
+        (fun len ->
+          List.for_all
+            (fun c ->
+              let a = Array.init len (fun i -> i land 3) in
+              let b = Array.copy a in
+              Prng.Splitmix.add_uniform g a c;
+              for _ = 1 to c do
+                let u = Prng.Splitmix.int g' len in
+                b.(u) <- b.(u) + 1
+              done;
+              a = b && same_state g g')
+            [ 0; 1; 2; 3; 1 + Prng.Splitmix.int counts 4000 ])
+        [ 1; 2; 4; 64; 4096; 3; 5; 7; 100; 1000; 4095 ])
+
+(* SplitMix64's output function, inverted, so that a test can pick the
+   draw a seed makes.  Each xorshift is undone by iterating it; each
+   multiplication by the inverse of its odd constant mod 2^64. *)
+let unmix64 z =
+  let unxorshift y k =
+    let x = ref y in
+    for _ = 1 to 64 / k do
+      x := Int64.logxor y (Int64.shift_right_logical !x k)
+    done;
+    !x
+  in
+  let inverse c =
+    let i = ref c in
+    for _ = 1 to 6 do
+      i := Int64.mul !i (Int64.sub 2L (Int64.mul c !i))
+    done;
+    !i
+  in
+  let z = unxorshift z 31 in
+  let z = unxorshift (Int64.mul z (inverse 0x94D049BB133111EBL)) 27 in
+  unxorshift (Int64.mul z (inverse 0xBF58476D1CE4E5B9L)) 30
+
+(* A seed whose first draw falls in the last, incomplete block of
+   [0, 2^62) for [bound], so that [int g bound] rejects it and draws
+   again.  [create s] sets the state to mix64 s and a draw adds the
+   golden gamma and mixes, so both steps are inverted; a preimage that
+   is not a 63-bit int is skipped. *)
+let rejecting_seed bound =
+  (* The top 62 bits v of a draw are rejected for v in
+     [max_int - (max_int mod bound), max_int]. *)
+  let lowest = max_int - (max_int mod bound) in
+  let rec search v low =
+    if v < lowest then invalid_arg "rejecting_seed: no 63-bit preimage";
+    let z = Int64.logor (Int64.shift_left (Int64.of_int v) 2) (Int64.of_int low) in
+    let seed = unmix64 (Int64.sub (unmix64 z) 0x9E3779B97F4A7C15L) in
+    if Int64.of_int (Int64.to_int seed) = seed then Int64.to_int seed
+    else if low < 3 then search v (low + 1)
+    else search (v - 1) 0
+  in
+  search max_int 0
+
+(* The rejection path of [add_uniform] itself: from a seed whose first
+   draw [int] rejects, one placement takes two draws and lands where the
+   written-out loop puts it, for lengths that are not powers of two. *)
+let test_add_uniform_rejection () =
+  List.iter
+    (fun len ->
+      let seed = rejecting_seed len in
+      let v =
+        Int64.to_int
+          (Int64.shift_right_logical (Prng.Splitmix.next64 (Prng.Splitmix.create seed)) 2)
+      in
+      check_bool (Printf.sprintf "length %d: first draw rejected" len) true
+        (v - (v mod len) + (len - 1) < 0);
+      let g = Prng.Splitmix.create seed and g' = Prng.Splitmix.create seed in
+      let a = Array.make len 0 and b = Array.make len 0 in
+      Prng.Splitmix.add_uniform g a 3;
+      for _ = 1 to 3 do
+        let u = Prng.Splitmix.int g' len in
+        b.(u) <- b.(u) + 1
+      done;
+      Alcotest.(check (array int)) (Printf.sprintf "length %d: placements" len) b a;
+      check_bool (Printf.sprintf "length %d: state" len) true (same_state g g');
+      let two = Prng.Splitmix.create seed in
+      for _ = 1 to 4 do
+        ignore (Prng.Splitmix.next64 two)
+      done;
+      check_bool (Printf.sprintf "length %d: four draws for three" len) true
+        (same_state g two))
+    [ 3; 100; 1000; 4095 ]
+
+(* [knuth_count] against the product loop written out over [float g 1.0]
+   on a copied generator: the same count and the same generator state,
+   for 1 to 2^12 leaves at the thresholds of the largest (rate 30) and a
+   small (rate 0.5) Poisson leaf. *)
+let prop_knuth_count_is_product_loop =
+  QCheck.Test.make ~name:"Splitmix.knuth_count = product loop, value and state" ~count:5
+    QCheck.int
+    (fun seed ->
+      let g = Prng.Splitmix.create seed in
+      let g' = Prng.Splitmix.copy g in
+      List.for_all
+        (fun l ->
+          List.for_all
+            (fun leaves ->
+              let k = Prng.Splitmix.knuth_count g ~leaves l in
+              let k' = ref 0 in
+              for _ = 1 to leaves do
+                let p = ref 1.0 in
+                let running = ref true in
+                while !running do
+                  p := !p *. Prng.Splitmix.float g' 1.0;
+                  if !p <= l then running := false else incr k'
+                done
+              done;
+              k = !k' && same_state g g')
+            [ 0; 1; 2; 3; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 ])
+        [ exp (-30.0); exp (-0.5) ])
+
 (* [float] is [bits53] scaled: a copied generator drawing through each
    gives the same floats, bit for bit. *)
 let prop_float_is_bits53_scaled =
@@ -240,6 +369,8 @@ let () =
           Alcotest.test_case "split diverges" `Quick test_split_diverges;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int rejects bad bound" `Quick test_int_rejects_bad_bound;
+          Alcotest.test_case "add_uniform rejection path" `Quick
+            test_add_uniform_rejection;
           Alcotest.test_case "int_in range" `Quick test_int_in_range;
           Alcotest.test_case "int uniformity" `Slow test_int_uniformity;
           Alcotest.test_case "float range" `Quick test_float_range;
@@ -264,6 +395,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_int_in_range;
           QCheck_alcotest.to_alcotest prop_int_pow2_is_rejection_loop;
+          QCheck_alcotest.to_alcotest prop_add_uniform_is_int_loop;
+          QCheck_alcotest.to_alcotest prop_knuth_count_is_product_loop;
           QCheck_alcotest.to_alcotest prop_split_conserves;
           QCheck_alcotest.to_alcotest prop_float_is_bits53_scaled;
         ] );

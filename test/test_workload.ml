@@ -452,6 +452,26 @@ let test_poisson_inject_allocation () =
     (Printf.sprintf "%.1f minor words per round, budget 64" per_round)
     true (per_round <= 64.0)
 
+(* A constant uniform source on 2^12 nodes, 3686 placements a round by
+   one batched draw: the loop holds the generator state in a register
+   and allocates nothing. *)
+let test_uniform_placement_allocation () =
+  let n = 1 lsl 12 in
+  let arrival = A.uniform ~rng:(Prng.Splitmix.create 6) ~per_round:(9 * n / 10) in
+  let loads = Array.make n 0 in
+  ignore (A.inject arrival ~round:1 ~loads);
+  let rounds = 50 in
+  let before = Gc.minor_words () in
+  let injected = ref 0 in
+  for round = 2 to rounds + 1 do
+    injected := !injected + A.inject arrival ~round ~loads
+  done;
+  let per_round = (Gc.minor_words () -. before) /. float_of_int rounds in
+  check_int "tokens arrived" (rounds * (9 * n / 10)) !injected;
+  check_bool
+    (Printf.sprintf "%.1f minor words per round, budget 0" per_round)
+    true (per_round = 0.0)
+
 let () =
   Alcotest.run "workload"
     [
@@ -483,6 +503,8 @@ let () =
           Alcotest.test_case "rejects bad specs" `Quick test_rejects_bad_specs;
           Alcotest.test_case "poisson inject allocation" `Quick
             test_poisson_inject_allocation;
+          Alcotest.test_case "uniform placement allocation" `Quick
+            test_uniform_placement_allocation;
         ] );
       ( "lifetimes",
         [
