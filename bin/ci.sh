@@ -73,18 +73,25 @@ echo "== kernel smoke: packed and int kernel paths match the generic loop =="
 # Core.Engine.run scatters into 32-bit slots while no load is negative
 # and the total is at most 2^31 - 1, and into an int vector otherwise;
 # --audit forces the generic per-node loop.  point:4096 takes the packed
-# path, point:4294967296 the int fallback; each must print the audited
-# run's "final disc:" line.
-for init in point:4096 point:4294967296; do
-  fast=$(dune exec bin/lb_sim.exe -- --graph torus:16x16 --algo rotor-router \
-    --init "$init" --steps 200 | grep '^final disc:')
-  generic=$(dune exec bin/lb_sim.exe -- --graph torus:16x16 --algo rotor-router \
-    --init "$init" --steps 200 --audit | grep '^final disc:')
+# path, point:4294967296 the int fallback; the random 8-regular graph
+# with 8 self-loops is the closed-expander benchmark's family at small
+# n; complete:40 has d = 39, past the rotor window table's d <= 31, so
+# it has no kernel at all.  Each must print the audited run's
+# "final disc:" line.
+kernel_smoke() {
+  fast=$(dune exec bin/lb_sim.exe -- "$@" --algo rotor-router --steps 200 \
+    | grep '^final disc:')
+  generic=$(dune exec bin/lb_sim.exe -- "$@" --algo rotor-router --steps 200 --audit \
+    | grep '^final disc:')
   if [ "$fast" != "$generic" ]; then
-    echo "--init $init: kernel path diverged from the generic loop: '$fast' vs '$generic'" >&2
+    echo "$*: kernel path diverged from the generic loop: '$fast' vs '$generic'" >&2
     exit 1
   fi
-done
+}
+kernel_smoke --graph torus:16x16 --init point:4096
+kernel_smoke --graph torus:16x16 --init point:4294967296
+kernel_smoke --graph random:4096,8,7 --self-loops 8 --init point:65536
+kernel_smoke --graph complete:40 --init point:4096
 
 echo "== net smoke: lossy runs replay identically under one --net-seed =="
 run1=$(dune exec bin/lb_sim.exe -- --graph hypercube:6 --algo send-floor \

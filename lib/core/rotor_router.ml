@@ -86,32 +86,32 @@ let make ?order ?init_rotor g ~self_loops =
     let r' = r + e in
     rotor.(node) <- (if r' >= dp then r' - dp else r')
   in
-  (* The whole-round kernel, for the shared default order only: its
-     d⁺-entry inverse table pos (port k sits at index pos.(k) of the
-     order) tells whether original port k lies in the window [r, r + e)
-     without a ports buffer.  A custom order would need an n·d⁺ inverse
-     table, so it keeps the generic path. *)
+  (* The whole-round kernel, for the shared default order only: a
+     custom order would need a window table per node, so it keeps the
+     generic path.  Which original ports get the extra token depends
+     only on the rotor r and the excess e, so win.(r·d⁺ + e) holds the
+     window [r, r + e) once and for all: bit k is set when original
+     port k lies in it, and bits 32 and up count those ports.  Hence
+     d ≤ 31, and d⁺ ≤ 64 caps the table at 4096 ints; any other shape
+     keeps the generic path too. *)
   let kernel =
     match order with
     | Some _ -> None
+    | None when d > 31 || dp > 64 -> None
     | None ->
-      let pos = Array.make dp 0 in
-      for i = 0 to dp - 1 do
-        pos.(ord.(i)) <- i
+      let win = Array.make (dp * dp) 0 in
+      for r = 0 to dp - 1 do
+        for e = 1 to dp - 1 do
+          let k = ord.(r + e - 1) and w = win.((r * dp) + e - 1) in
+          win.((r * dp) + e) <- (if k < d then w + (1 lsl k) + (1 lsl 32) else w)
+        done
       done;
-      (* The port loop has no data-dependent branch.  Every value below
-         lies in (-2⁶², 2⁶²), so on OCaml's 63-bit ints [v asr 62] is -1
-         for a negative v and 0 otherwise, and [v lsr 62] is 1 or 0:
-         - the window offset w = pos.(k) - r ∈ (-d⁺, d⁺) wraps by
-           [dp land (w asr 62)];
-         - port k gets q + 1 when w < e, that is q + ((w - e) lsr 62);
-         - the rotor r + e ∈ [0, 2·d⁺) wraps the same way from r + e - d⁺.
-         Every original port is scattered, a zero send as a zero add: at
-         the small loads of an open system w < e and s > 0 are coin flips,
-         and the mispredicted branch on s cost more than the add.  The
-         shift counts are constants, as the [lsl 2] slot offset is:
-         under dune's [-opaque] dev profile a shared run-time count would
-         be a variable shift on every port. *)
+      (* Every original port is scattered, a zero send as a zero add:
+         at the small loads of an open system the extra token is a coin
+         flip, and a branch on it mispredicts.  The rotor wraps without
+         one: r' = r + e - d⁺ ∈ (-d⁺, d⁺), and on 63-bit ints [r' asr 62]
+         is -1 or 0.  Shift counts are constants, as the [lsl 2] slot
+         offset is: port k reads bit 0 of t shifted right k times. *)
       let round ~step:_ ~adj cur next =
         let moved = ref 0 in
         for u = 0 to Array.length cur - 1 do
@@ -121,20 +121,18 @@ let make ?order ?init_rotor g ~self_loops =
             let q = if x < dp then 0 else x / dp in
             let e = x - (q * dp) in
             let r = rotor.(u) in
-            let base = u * d in
-            let sent = ref 0 in
+            let t = win.((r * dp) + e) in
+            let sent = (q * d) + (t lsr 32) in
+            let base = u * d and m = ref t in
             for k = 0 to d - 1 do
-              let w = pos.(k) - r in
-              let w = w + (dp land (w asr 62)) in
-              let s = q + ((w - e) lsr 62) in
               let v = adj.(base + k) in
-              next.(v) <- next.(v) + s;
-              sent := !sent + s
+              next.(v) <- next.(v) + q + (!m land 1);
+              m := !m lsr 1
             done;
             let r' = r + e - dp in
             rotor.(u) <- r' + (dp land (r' asr 62));
-            moved := !moved + !sent;
-            next.(u) <- next.(u) + x - !sent
+            moved := !moved + sent;
+            next.(u) <- next.(u) + x - sent
           end
           else if x < 0 then negative_load ()
         done;
@@ -152,21 +150,20 @@ let make ?order ?init_rotor g ~self_loops =
             let q = if x < dp then 0 else x / dp in
             let e = x - (q * dp) in
             let r = rotor.(u) in
-            let base = u * d in
-            let sent = ref 0 in
+            let t = win.((r * dp) + e) in
+            let sent = (q * d) + (t lsr 32) in
+            let base = u * d and m = ref t in
             for k = 0 to d - 1 do
-              let w = pos.(k) - r in
-              let w = w + (dp land (w asr 62)) in
-              let s = q + ((w - e) lsr 62) in
               let o = adj.(base + k) lsl 2 in
-              Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int s));
-              sent := !sent + s
+              let s = q + (!m land 1) in
+              m := !m lsr 1;
+              Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int s))
             done;
             let r' = r + e - dp in
             rotor.(u) <- r' + (dp land (r' asr 62));
-            moved := !moved + !sent;
+            moved := !moved + sent;
             let o = u lsl 2 in
-            Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int (x - !sent)))
+            Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int (x - sent)))
           end
           else if x < 0 then negative_load ()
         done;

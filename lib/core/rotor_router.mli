@@ -37,16 +37,20 @@ val make :
     in [\[0, d⁺)]; restoring anything else raises [Invalid_argument].
 
     With the default order (any [init_rotor]) the balancer also carries
-    a whole-round {!Balancer.kernel}, backed by a d⁺-entry inverse
-    order table, that updates the same rotor vector; {!Engine} runs it
-    in place of [assign] except in audited runs and under wrappers that
-    rebuild [assign].  Its [round] and [round_packed] are one loop
-    written twice, differing only in their two adds (into an int vector
-    and into {!Acc32} slots).  Their port loop is branch-free: the window
-    test and the rotor wrap are sign-bit arithmetic on 63-bit ints, and
-    every original port is scattered, a zero send as a zero add.  A
-    custom [order] gets no kernel, since its inverse tables would cost
-    n·d⁺ more ints.
+    a whole-round {!Balancer.kernel} that updates the same rotor vector;
+    {!Engine} runs it in place of [assign] except in audited runs and
+    under wrappers that rebuild [assign].  The ports that get the extra
+    token depend only on the rotor r and the excess e, so the kernel
+    reads them from a d⁺×d⁺ table built once by [make]: entry (r, e)
+    is the bitmask of the original ports in the window [\[r, r + e)]
+    and their count.  Per node it makes one lookup, sends
+    q + (bit k) on original port k, and keeps x − (q·d + count).
+    Its [round] and [round_packed] are one loop written twice,
+    differing only in their two adds (into an int vector and into
+    {!Acc32} slots).  The kernel exists only for d ≤ 31 and d⁺ ≤ 64,
+    so the table holds at most 4096 ints; a wider shape, like a custom
+    [order], whose tables would cost n·d⁺² more ints, gets no kernel
+    and keeps the generic path.
 
     @raise Invalid_argument if an order is not a permutation or an
     initial rotor position is out of range. *)

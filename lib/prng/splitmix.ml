@@ -5,7 +5,7 @@
    The 64-bit state lives unboxed in an 8-byte buffer: reading and
    writing it with [Bytes.get_int64_ne]/[set_int64_ne] compiles to plain
    loads and stores, and with [mix64]/[advance] inlined the arithmetic
-   stays in registers, so [int], [bool], [bits53] and the draw inside
+   stays in registers, so [int], [bool] and the 53-bit draw inside
    [float] allocate nothing. *)
 
 type t = Bytes.t
@@ -57,7 +57,7 @@ let int g bound =
 (* The batched draws below hold the state in a local across the whole
    batch and store it back once.  [advance] and [mix64] inline only
    inside this module under dune's [-opaque] dev profile, so a caller
-   in another module looping over [int] or [bits53] pays a call and a
+   in another module looping over [int] or [float] pays a call and a
    state load and store per draw. *)
 
 let add_uniform g a c =

@@ -55,16 +55,9 @@ val int_in : t -> int -> int -> int
 val bool : t -> bool
 (** Fair coin. *)
 
-val bits53 : t -> int
-(** [bits53 g] is the top 53 bits of the next raw output, uniform in
-    [\[0, 2{^53})].  It is the draw behind {!float}: [float g b] is
-    [float_of_int (bits53 g) /. 2{^53} *. b] on the same stream.  The
-    result is an immediate int, so a caller in another compilation unit
-    can build its own uniforms from it without the boxed float that a
-    non-inlined {!float} call returns. *)
-
 val float : t -> float -> float
-(** [float g bound] is uniform in [\[0, bound)]. *)
+(** [float g bound] is uniform in [\[0, bound)]: the top 53 bits of the
+    next raw output, as an int, divided by 2{^53} and times [bound]. *)
 
 val bernoulli : t -> float -> bool
 (** [bernoulli g p] is [true] with probability [p] (clamped to

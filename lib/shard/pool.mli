@@ -3,8 +3,7 @@
     One abstraction serves both parallelism levels in this repository:
 
     - {e replica-level}: independent tasks (one experiment per seed)
-      pulled off a shared queue with {!map} — used by
-      [Harness.Parallel];
+      pulled off a shared queue with {!map};
     - {e shard-level}: SPMD steps where every worker must run one phase
       and all must finish before the next phase starts — {!run} is a
       dispatch {e and} a barrier, which is exactly the per-step

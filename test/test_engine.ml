@@ -440,20 +440,23 @@ let with_corrupt_kernel b corrupt =
   in
   { b with Core.Balancer.kernel = Some { k with Core.Balancer.round; round_packed } }
 
-(* A kernel that counts the rounds each variant ran. *)
+(* A kernel that counts the rounds each variant ran.  A balancer with
+   no kernel is returned as it is, and its counts stay (0, 0). *)
 let with_counting_kernel b =
-  let k = kernel_of b in
   let ints = ref 0 and packed = ref 0 in
-  let round ~step ~adj cur next =
-    incr ints;
-    k.Core.Balancer.round ~step ~adj cur next
-  in
-  let round_packed ~step ~adj cur acc =
-    incr packed;
-    k.Core.Balancer.round_packed ~step ~adj cur acc
-  in
-  ( { b with Core.Balancer.kernel = Some { k with Core.Balancer.round; round_packed } },
-    fun () -> (!ints, !packed) )
+  let counts () = (!ints, !packed) in
+  match b.Core.Balancer.kernel with
+  | None -> (b, counts)
+  | Some k ->
+    let round ~step ~adj cur next =
+      incr ints;
+      k.Core.Balancer.round ~step ~adj cur next
+    in
+    let round_packed ~step ~adj cur acc =
+      incr packed;
+      k.Core.Balancer.round_packed ~step ~adj cur acc
+    in
+    ({ b with Core.Balancer.kernel = Some { k with Core.Balancer.round; round_packed } }, counts)
 
 (* The same corruptions on both paths of [run]: a total of 320 takes the
    packed one, a total of 2³² the int one. *)
@@ -532,13 +535,14 @@ let rotor_state b =
   | None -> Alcotest.fail "rotor-router without persistence"
 
 (* Every single-node round of both kernel variants against [assign]'s
-   ports, for d⁺ ∈ {2, 3, 8, 16} with d° ∈ {0, d}, every rotor r < d⁺
-   and every load x < 3·d⁺: the send on each original port, the kept
-   tokens, the moved count and the new rotor.  Node 0 of the complete
-   graph K_{d+1} reaches every other node by its own port, so each
-   port's send is one entry of the scatter target.  This pins the
-   sign-bit wrap and compare of the kernel's port loop at every
-   boundary, which [prop_kernel_matches_generic] only samples. *)
+   ports, for d⁺ ∈ {2, 3, 8, 16} with d° ∈ {0, d}, and for d = 31 with
+   d⁺ = 64, the largest window table: every rotor r < d⁺ and every load
+   x < 3·d⁺, checking the send on each original port, the kept tokens,
+   the moved count and the new rotor.  Node 0 of the complete graph
+   K_{d+1} reaches every other node by its own port, so each port's send
+   is one entry of the scatter target.  This pins every (rotor, excess)
+   entry of the table and the rotor wrap at every boundary, which
+   [prop_kernel_matches_generic] only samples. *)
 let test_kernel_table () =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
@@ -576,7 +580,7 @@ let test_kernel_table () =
               (Array.init n slot, moved))
         done
       done)
-    [ (2, 0); (1, 1); (3, 0); (8, 0); (4, 4); (16, 0); (8, 8) ];
+    [ (2, 0); (1, 1); (3, 0); (8, 0); (4, 4); (16, 0); (8, 8); (31, 33) ];
   Alcotest.(check (list string)) "rounds that differ from assign" [] (List.rev !failures)
 
 (* What a run leaves, for comparing the kernel's paths with the
@@ -595,6 +599,31 @@ let same_as_generic ~label ~steps ?hook ~graph ~make init =
   check_bool (label ^ ": bit-identical to the generic path") true
     (outcome_of counted fused = outcome_of generic_b generic);
   counts ()
+
+(* Past the window table's limits, d = 32 or d⁺ = 65, the rotor-router
+   has no kernel, and [Engine.run] takes the generic path: its loads,
+   series, minimum and rotors match a Tap-forced run's, and its loads
+   and rotors [Engine_ref]'s. *)
+let test_no_kernel_past_table () =
+  List.iter
+    (fun (label, g, self_loops) ->
+      let n = Graphs.Graph.n g and dp = Graphs.Graph.degree g + self_loops in
+      let init = Array.init n (fun u -> (((7 * u) + 3) mod 5 * dp) + (11 * u mod dp)) in
+      let make () =
+        Core.Rotor_router.make g ~self_loops ~init_rotor:(fun u -> 13 * u mod dp)
+      in
+      check_bool (label ^ ": no kernel") true (Option.is_none (make ()).Core.Balancer.kernel);
+      let counts = same_as_generic ~label ~steps:20 ~graph:g ~make init in
+      Alcotest.(check (pair int int)) (label ^ ": kernel rounds") (0, 0) counts;
+      let b = make () and ref_b = make () in
+      let r = Core.Engine.run ~graph:g ~balancer:b ~init ~steps:20 () in
+      let ref_loads = Core.Engine_ref.run ~graph:g ~balancer:ref_b ~init ~steps:20 in
+      check_bool (label ^ ": same as Engine_ref") true
+        ((r.Core.Engine.final_loads, rotor_state b) = (ref_loads, rotor_state ref_b)))
+    [
+      ("d=32 d°=0", Graphs.Gen.complete 33, 0);
+      ("d=4 d°=61", Graphs.Gen.torus [ 4; 4 ], 61);
+    ]
 
 (* A total above 2³¹ - 1, here just over 2³², is never packed: every
    round takes the int kernel, and its loads, series, minimum and rotors
@@ -736,6 +765,8 @@ let () =
           Alcotest.test_case "single-node table against assign" `Quick test_kernel_table;
           Alcotest.test_case "broken kernel caught in round 1" `Quick
             test_broken_kernel_caught;
+          Alcotest.test_case "no kernel past the table's limits" `Quick
+            test_no_kernel_past_table;
           Alcotest.test_case "guard falls back at 2^32" `Quick test_guard_falls_back;
           Alcotest.test_case "guard switches mid-run" `Quick test_guard_switches_mid_run;
           QCheck_alcotest.to_alcotest prop_kernel_matches_generic;

@@ -170,27 +170,27 @@ let test_replicate_empty_rejected () =
        false
      with Invalid_argument _ -> true)
 
-(* --- Parallel --- *)
+(* --- Parallel replicas over Shard.Pool --- *)
+
+let pool_map ~domains f xs =
+  Shard.Pool.with_pool ~domains (fun pool ->
+      Array.to_list (Shard.Pool.map pool f (Array.of_list xs)))
 
 let test_parallel_map_order () =
   let xs = List.init 37 (fun i -> i) in
   Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x * 2) xs)
-    (Harness.Parallel.map (fun x -> x * 2) xs)
+    (pool_map ~domains:2 (fun x -> x * 2) xs)
 
 let test_parallel_map_single_domain () =
-  Alcotest.(check (list int)) "degenerate" [ 2; 4 ]
-    (Harness.Parallel.map ~domains:1 (fun x -> x * 2) [ 1; 2 ])
+  Alcotest.(check (list int)) "degenerate" [ 2; 4 ] (pool_map ~domains:1 (fun x -> x * 2) [ 1; 2 ])
 
 let test_parallel_map_empty () =
-  Alcotest.(check (list int)) "empty" [] (Harness.Parallel.map (fun x -> x) [])
+  Alcotest.(check (list int)) "empty" [] (pool_map ~domains:2 (fun x -> x) [])
 
 let test_parallel_exception_propagates () =
   check_bool "raises" true
     (try
-       ignore
-         (Harness.Parallel.map ~domains:2
-            (fun x -> if x = 3 then failwith "boom" else x)
-            [ 1; 2; 3; 4 ]);
+       ignore (pool_map ~domains:2 (fun x -> if x = 3 then failwith "boom" else x) [ 1; 2; 3; 4 ]);
        false
      with Failure m -> m = "boom")
 
@@ -206,7 +206,7 @@ let test_parallel_matches_sequential_experiment () =
   in
   let seeds = [ 1; 2; 3; 4; 5; 6 ] in
   let seq = Harness.Series.replicate ~seeds measure in
-  let par = Harness.Parallel.replicate ~seeds measure in
+  let par = Harness.Series.summarize (Array.of_list (pool_map ~domains:2 measure seeds)) in
   Alcotest.(check (float 1e-12)) "same mean" seq.Harness.Series.mean par.Harness.Series.mean;
   Alcotest.(check (float 1e-12)) "same stddev" seq.Harness.Series.stddev
     par.Harness.Series.stddev
