@@ -69,6 +69,22 @@ if [ "$ref" != "$net" ]; then
   exit 1
 fi
 
+echo "== fault smoke: a crash has the same effect over the network =="
+# Both engines apply fault events through Faults.Apply; on a reliable
+# network a crashed run must end in the fault engine's exact loads.
+crash_dir=$(mktemp -d -t lb_ci_crash.XXXXXX)
+dune exec bin/lb_sim.exe -- --graph torus:16x16 --algo rotor-router \
+  --init point:4096 --steps 200 --crash-nodes 0.1@50 \
+  --dump-loads "$crash_dir/loads" > /dev/null
+dune exec bin/lb_sim.exe -- --graph torus:16x16 --algo rotor-router \
+  --init point:4096 --steps 200 --crash-nodes 0.1@50 --drop 0 \
+  --dump-loads "$crash_dir/loads.net" > /dev/null
+cmp "$crash_dir/loads" "$crash_dir/loads.net" || {
+  echo "a crash over the loss=0 network diverged from the fault engine" >&2
+  exit 1
+}
+rm -rf "$crash_dir"
+
 echo "== kernel smoke: packed and int kernel paths match the generic loop =="
 # Core.Engine.run scatters into 32-bit slots while no load is negative
 # and the total is at most 2^31 - 1, and into an int vector otherwise;

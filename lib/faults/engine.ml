@@ -45,26 +45,6 @@ type tracker = {
   tk_spilled : int;
 }
 
-let validate_plan ~n ~d ~steps plan =
-  List.iter
-    (fun { Schedule.step; event } ->
-      if step < 1 || step > steps then
-        invalid_arg
-          (Printf.sprintf "Faults.Engine.run: fault at step %d outside [1, %d]" step
-             steps);
-      match event with
-      | Schedule.Crash { node; _ } | Schedule.Load_shock { node; _ } ->
-        if node < 0 || node >= n then
-          invalid_arg (Printf.sprintf "Faults.Engine.run: node %d out of range" node)
-      | Schedule.Edge_outage { node; port; last_step } ->
-        if node < 0 || node >= n then
-          invalid_arg (Printf.sprintf "Faults.Engine.run: node %d out of range" node);
-        if port < 0 || port >= d then
-          invalid_arg (Printf.sprintf "Faults.Engine.run: port %d out of range" port);
-        if last_step < step then
-          invalid_arg "Faults.Engine.run: outage ends before it starts")
-    plan
-
 (* Outage shim: one extra hidden self-loop port; while (node, port) is
    down, tokens assigned to the dead original port stay home on it.
    Transparent otherwise — same name/props/persist, so the sharded
@@ -89,9 +69,8 @@ let run ?(mode = Sequential) ?eps ?(watchdog = true) ?(sample_every = 1) ?hook
     ~graph ~make_balancer ~plan ~init ~steps () =
   let n = Graphs.Graph.n graph in
   let d = Graphs.Graph.degree graph in
-  let adj = Graphs.Graph.adjacency graph in
   if Array.length init <> n then invalid_arg "Faults.Engine.run: init length mismatch";
-  validate_plan ~n ~d ~steps plan;
+  Apply.validate ~fn:"Faults.Engine.run" ~n ~d ~steps plan;
   let eps = match eps with Some e -> e | None -> d in
   if eps < 0 then invalid_arg "Faults.Engine.run: negative eps";
   let has_outages =
@@ -109,88 +88,28 @@ let run ?(mode = Sequential) ?eps ?(watchdog = true) ?(sample_every = 1) ?hook
     if has_outages then List.map (fun b -> wrap_outages b ~d ~outage_until) inner_instances
     else inner_instances
   in
-  let b0 =
-    match inner_instances with
-    | b :: _ -> b
-    | [] -> invalid_arg "Faults.Engine.run: no balancer instances"
-  in
+  (match inner_instances with
+  | [] -> invalid_arg "Faults.Engine.run: no balancer instances"
+  | _ :: _ -> ());
   let initial_total = Core.Loads.total init in
   let wd =
-    if not watchdog then None
-    else
-      Some
-        (Watchdog.create
-           ?state_range:
-             (Option.map
-                (fun p -> (0, p.Core.Balancer.state_bound))
-                b0.Core.Balancer.persist)
-           ~state_sources:
-             (List.filter_map
-                (fun b ->
-                  Option.map
-                    (fun p () -> p.Core.Balancer.state_save ())
-                    b.Core.Balancer.persist)
-                inner_instances)
-           ~name:b0.Core.Balancer.name
-           ~never_negative:b0.Core.Balancer.props.Core.Balancer.never_negative
-           ~expected_total:initial_total ())
+    if watchdog then Some (Apply.watchdog ~expected_total:initial_total inner_instances)
+    else None
   in
   let injected = ref 0 and lost = ref 0 and spilled = ref 0 in
   let trackers = ref [] in
-  let wipe_state node =
-    List.iter
-      (fun b ->
-        match b.Core.Balancer.persist with
-        | None -> ()
-        | Some p ->
-          let s = p.Core.Balancer.state_save () in
-          if s.(node) <> 0 then begin
-            s.(node) <- 0;
-            p.Core.Balancer.state_restore s
-          end)
-      inner_instances
+  let outage ~edge ~until =
+    if outage_until.(edge) < until then outage_until.(edge) <- until
   in
   let apply_episode ~loads ~step events =
     Obs.Prof.time "faults.episode" @@ fun () ->
     let pre = Core.Loads.discrepancy loads in
-    let ep_injected = ref 0 and ep_lost = ref 0 and ep_spilled = ref 0 in
-    List.iter
-      (fun event ->
-        match event with
-        | Schedule.Crash { node; state; tokens } ->
-          let x = loads.(node) in
-          (match tokens with
-          | Schedule.Lose_tokens ->
-            loads.(node) <- 0;
-            ep_lost := !ep_lost + x
-          | Schedule.Spill_tokens ->
-            (* Spread as evenly as the integers allow; ports in order
-               absorb the remainder.  Mass is conserved. *)
-            if x > 0 then begin
-              let q = x / d and r = x mod d in
-              let base = node * d in
-              for k = 0 to d - 1 do
-                let v = adj.(base + k) in
-                loads.(v) <- loads.(v) + q + (if k < r then 1 else 0)
-              done;
-              loads.(node) <- 0
-            end;
-            ep_spilled := !ep_spilled + x);
-          (match state with
-          | Schedule.Wipe_state -> wipe_state node
-          | Schedule.Keep_state -> ())
-        | Schedule.Edge_outage { node; port; last_step } ->
-          let slot = (node * d) + port in
-          if outage_until.(slot) < last_step then outage_until.(slot) <- last_step
-        | Schedule.Load_shock { node; amount } ->
-          loads.(node) <- loads.(node) + amount;
-          ep_injected := !ep_injected + amount)
-      events;
-    injected := !injected + !ep_injected;
-    lost := !lost + !ep_lost;
-    spilled := !spilled + !ep_spilled;
+    let l = Apply.events ~graph ~balancers:inner_instances ~outage ~loads events in
+    injected := !injected + l.Apply.injected;
+    lost := !lost + l.Apply.lost;
+    spilled := !spilled + l.Apply.spilled;
     (match wd with
-    | Some w -> Watchdog.adjust_expected w (!ep_injected - !ep_lost)
+    | Some w -> Watchdog.adjust_expected w (l.Apply.injected - l.Apply.lost)
     | None -> ());
     let shock = Core.Loads.discrepancy loads in
     let tk =
@@ -201,9 +120,9 @@ let run ?(mode = Sequential) ?eps ?(watchdog = true) ?(sample_every = 1) ?hook
         tk_shock = shock;
         tk_worst = shock;
         tk_recovered = (if shock <= pre + eps then Some (step - 1) else None);
-        tk_injected = !ep_injected;
-        tk_lost = !ep_lost;
-        tk_spilled = !ep_spilled;
+        tk_injected = l.Apply.injected;
+        tk_lost = l.Apply.lost;
+        tk_spilled = l.Apply.spilled;
       }
     in
     trackers := tk :: !trackers

@@ -12,7 +12,11 @@
     equal fault events, recovery reports and final loads in both
     sequential and sharded modes.
 
-    Edge outages are realized by a transparent balancer shim that adds
+    Plan validation, the watchdog and the events themselves go through
+    {!Apply}, the one applier shared with {!Net.Async_engine}, so a
+    crash, spill, state wipe or shock has the same effect in both.
+    The engines differ only in how they realize an edge outage.  Here
+    it is a transparent balancer shim that adds
     one hidden self-loop port and, while an outage is active, moves the
     tokens a node assigned to the dead port onto that self-loop — the
     tokens stay put, exactly as if the link dropped the send.  The shim

@@ -33,7 +33,8 @@ type event =
           undirected edge go down together). *)
   | Load_shock of { node : int; amount : int }
       (** [amount] extra tokens materialize at [node] (an adversarial
-          burst, the fault-shaped cousin of {!Core.Dynamic} injections) *)
+          burst, the fault-shaped cousin of {!Workload.Arrival}
+          batches) *)
 
 type timed = { step : int; event : event }
 

@@ -36,29 +36,6 @@ type report = {
 let conserved r =
   r.drained && r.final_total = r.initial_total + r.injected - r.lost
 
-let validate_plan ~n ~d ~steps plan =
-  List.iter
-    (fun { Faults.Schedule.step; event } ->
-      if step < 1 || step > max 1 steps then
-        invalid_arg
-          (Printf.sprintf "Net.Async_engine.run: fault at step %d outside [1, %d]"
-             step steps);
-      match event with
-      | Faults.Schedule.Crash { node; _ } | Faults.Schedule.Load_shock { node; _ } ->
-        if node < 0 || node >= n then
-          invalid_arg
-            (Printf.sprintf "Net.Async_engine.run: node %d out of range" node)
-      | Faults.Schedule.Edge_outage { node; port; last_step } ->
-        if node < 0 || node >= n then
-          invalid_arg
-            (Printf.sprintf "Net.Async_engine.run: node %d out of range" node);
-        if port < 0 || port >= d then
-          invalid_arg
-            (Printf.sprintf "Net.Async_engine.run: port %d out of range" port);
-        if last_step < step then
-          invalid_arg "Net.Async_engine.run: outage ends before it starts")
-    plan
-
 let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
     ?(sample_every = 1) ?hook ?on_message ~graph ~balancer ~init ~steps () =
   let n = Graphs.Graph.n graph in
@@ -77,8 +54,7 @@ let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
     invalid_arg "Net.Async_engine.run: negative staleness bound";
   if config.max_drain_rounds < 0 then
     invalid_arg "Net.Async_engine.run: negative drain bound";
-  validate_plan ~n ~d ~steps plan;
-  let adj = Graphs.Graph.adjacency graph in
+  Faults.Apply.validate ~fn:"Net.Async_engine.run" ~n ~d ~steps plan;
   let dp = Core.Balancer.d_plus balancer in
   let emit = match on_message with Some f -> f | None -> fun _ -> () in
   let on_drop ~now ~edge payload =
@@ -98,75 +74,26 @@ let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
   in
   let initial_total = Core.Loads.total init in
   let wd =
-    if not watchdog then None
-    else
+    if watchdog then
       Some
-        (Faults.Watchdog.create
-           ?state_range:
-             (Option.map
-                (fun p -> (0, p.Core.Balancer.state_bound))
-                balancer.Core.Balancer.persist)
-           ~state_sources:
-             (match balancer.Core.Balancer.persist with
-             | Some p -> [ (fun () -> p.Core.Balancer.state_save ()) ]
-             | None -> [])
+        (Faults.Apply.watchdog
            ~extra_mass:(fun () -> Protocol.in_flight_tokens proto)
-           ~name:balancer.Core.Balancer.name
-           ~never_negative:
-             balancer.Core.Balancer.props.Core.Balancer.never_negative
-           ~expected_total:initial_total ())
+           ~expected_total:initial_total [ balancer ])
+    else None
   in
   let injected = ref 0 and lost = ref 0 and spilled = ref 0 in
-  let wipe_state node =
-    match balancer.Core.Balancer.persist with
-    | None -> ()
-    | Some p ->
-      let s = p.Core.Balancer.state_save () in
-      if s.(node) <> 0 then begin
-        s.(node) <- 0;
-        p.Core.Balancer.state_restore s
-      end
-  in
   let cur = Array.copy init in
-  let apply_events ~step events =
-    let ep_injected = ref 0 and ep_lost = ref 0 in
-    List.iter
-      (fun event ->
-        match event with
-        | Faults.Schedule.Crash { node; state; tokens } ->
-          let x = cur.(node) in
-          (match tokens with
-          | Faults.Schedule.Lose_tokens ->
-            cur.(node) <- 0;
-            ep_lost := !ep_lost + x
-          | Faults.Schedule.Spill_tokens ->
-            (* Spilled locally, as in Faults.Engine: the crash handler
-               dumps the node's tokens on its neighbors directly, it
-               does not get to use the network. *)
-            if x > 0 then begin
-              let q = x / d and r = x mod d in
-              let base = node * d in
-              for k = 0 to d - 1 do
-                let v = adj.(base + k) in
-                cur.(v) <- cur.(v) + q + (if k < r then 1 else 0)
-              done;
-              cur.(node) <- 0
-            end;
-            spilled := !spilled + x);
-          (match state with
-          | Faults.Schedule.Wipe_state -> wipe_state node
-          | Faults.Schedule.Keep_state -> ())
-        | Faults.Schedule.Edge_outage { node; port; last_step } ->
-          Channel.set_outage channel ~edge:((node * d) + port) ~until:last_step
-        | Faults.Schedule.Load_shock { node; amount } ->
-          cur.(node) <- cur.(node) + amount;
-          ep_injected := !ep_injected + amount)
-      events;
-    ignore step;
-    injected := !injected + !ep_injected;
-    lost := !lost + !ep_lost;
+  let apply_events events =
+    let l =
+      Faults.Apply.events ~graph ~balancers:[ balancer ]
+        ~outage:(Channel.set_outage channel) ~loads:cur events
+    in
+    injected := !injected + l.Faults.Apply.injected;
+    lost := !lost + l.Faults.Apply.lost;
+    spilled := !spilled + l.Faults.Apply.spilled;
     match wd with
-    | Some w -> Faults.Watchdog.adjust_expected w (!ep_injected - !ep_lost)
+    | Some w ->
+      Faults.Watchdog.adjust_expected w (l.Faults.Apply.injected - l.Faults.Apply.lost)
     | None -> ()
   in
   let ports = Array.make dp 0 in
@@ -200,7 +127,7 @@ let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
   for t = 1 to steps do
     (match Faults.Schedule.events_at plan ~step:t with
     | [] -> ()
-    | evs -> apply_events ~step:t evs);
+    | evs -> apply_events evs);
     let sp = Obs.Prof.start "net.assign" in
     moved := 0;
     for u = 0 to n - 1 do

@@ -4,10 +4,11 @@
     token sent in round [t] arrives in round [t] — with a seeded lossy
     {!Channel} and the exactly-once retry {!Protocol}.  Each round:
 
-    + scheduled faults ({!Faults.Schedule}) are applied: crashes and
-      load shocks mutate the loads and the ledger, edge outages black
-      out channel edges (the retry protocol recovers those tokens once
-      the outage lifts);
+    + scheduled faults ({!Faults.Schedule}) are applied by
+      {!Faults.Apply}, as in {!Faults.Engine}: crashes and load shocks
+      mutate the loads and the ledger, edge outages black out channel
+      edges (the retry protocol recovers those tokens once the outage
+      lifts);
     + every node runs its balancer on the load it currently holds;
       tokens assigned to original ports enter the transport, self-loop
       tokens stay — subject to the {e bounded-staleness} gate below;
@@ -93,8 +94,8 @@ val run :
 
     - [config] (default {!default_config});
     - [plan]: fault events composed with the channel faults (crashes
-      and shocks as in {!Faults.Engine.run}; outages become channel
-      blackouts);
+      and shocks exactly as in {!Faults.Engine.run}; outages become
+      channel blackouts); every step must lie in [\[1, steps\]];
     - [watchdog] (default true): audit conservation (including
       in-flight mass), NL non-negativity and balancer state range
       after every round;

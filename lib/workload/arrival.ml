@@ -45,8 +45,8 @@ let factor shape ~round =
     if round >= from_round && round < from_round + width then 1.0 else 0.0
 
 (* The count drawn for one source this round.  A Flat Const source must
-   cost zero PRNG draws and return the batch exactly — the bit-compat
-   contract with the historical Core.Dynamic stream. *)
+   cost zero PRNG draws and return the batch exactly, so seeded runs
+   replay draw for draw. *)
 let count src ~round =
   match (src.counting, src.shape) with
   | Const b, Flat -> b

@@ -20,8 +20,8 @@ val name : t -> string
 
 val uniform : rng:Prng.Splitmix.t -> per_round:int -> t
 (** Exactly [per_round] tokens per round, each at an independently
-    uniform node — one [Splitmix.int] draw per token, the stream
-    {!Core.Dynamic} has always used.
+    uniform node — one [Splitmix.int] draw per token, a stream that
+    seeded open-system runs replay draw for draw.
     @raise Invalid_argument on a negative batch. *)
 
 val poisson : rng:Prng.Splitmix.t -> rate:float -> t

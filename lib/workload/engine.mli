@@ -2,10 +2,9 @@
     per round, with streaming steady-state accounting.
 
     The balancing step itself is abstracted as a {!stepper} closure so
-    this module stays below [lib/core] in the dependency order —
-    {!Core.Dynamic} delegates here, and {!Harness.Openrun} supplies
-    steppers that route the step through the fault engine or the lossy
-    asynchronous network.  A stepper reports any token mass the step
+    this module does not depend on [lib/core]: {!Harness.Openrun}
+    supplies steppers that route the step through the plain engine,
+    the fault engine or the lossy asynchronous network.  A stepper reports any token mass the step
     itself injected or lost (fault ledgers), so the conservation
     identity is checked exactly even under crashes and load shocks. *)
 

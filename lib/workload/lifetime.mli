@@ -19,9 +19,9 @@ val immortal : t
 
 val uniform_attempts : rng:Prng.Splitmix.t -> per_round:int -> t
 (** Each round, [per_round] completion attempts at independently
-    uniform nodes; an attempt at a non-empty node removes one token —
-    exactly {!Core.Dynamic}'s historical [Uniform_work] semantics,
-    draw for draw.  @raise Invalid_argument on a negative count. *)
+    uniform nodes; an attempt at a non-empty node removes one token,
+    one draw per attempt.  @raise Invalid_argument on a negative
+    count. *)
 
 val service : rate:int -> t
 (** Deterministic capacity model: every node completes up to [rate]

@@ -5,8 +5,8 @@
     percentiles, a divergence detector for over-capacity workloads,
     and time-to-absorb-a-burst.  Percentile semantics match
     {!Harness.Stats} (sort, then linear interpolation at rank
-    [p/100·(n−1)]); the module is self-contained so {!Core.Dynamic}
-    can use it without a dependency cycle. *)
+    [p/100·(n−1)]); the module is self-contained, so it needs no
+    library above [lib/obs]. *)
 
 type summary = {
   count : int;

@@ -311,26 +311,54 @@ let test_star_state_range () =
     check_bool "node named" true (d.Faults.Watchdog.node = Some 0);
     Alcotest.(check string) "range" "state 7 outside [0, 7)" d.Faults.Watchdog.detail
 
+(* Both engines validate a plan through Faults.Apply: every bad plan is
+   rejected by each, and so is a step-1 event in a zero-step run. *)
 let test_plan_validation () =
   let g = Graphs.Gen.cycle 4 in
   let init = Array.make 4 1 in
+  let engines =
+    [
+      ("", "Faults.Engine.run", fun ~plan ~steps ->
+          ignore (run_faulted ~graph:g ~plan ~init ~steps ()));
+      ("net: ", "Net.Async_engine.run", fun ~plan ~steps ->
+          ignore
+            (Net.Async_engine.run ~plan ~graph:g
+               ~balancer:(Core.Rotor_router.make g ~self_loops:2)
+               ~init ~steps ()));
+    ]
+  in
   List.iter
-    (fun (label, plan) ->
-      check_bool label true
-        (try
-           ignore (run_faulted ~graph:g ~plan ~init ~steps:5 ());
-           false
-         with Invalid_argument _ -> true))
-    Faults.Schedule.
-      [
-        ( "step out of range",
-          [ { step = 9; event = Load_shock { node = 0; amount = 1 } } ] );
-        ( "node out of range",
-          [ { step = 1; event = Load_shock { node = 7; amount = 1 } } ] );
-        ( "port out of range",
-          [ { step = 1; event = Edge_outage { node = 0; port = 5; last_step = 2 } } ]
-        );
-      ]
+    (fun (prefix, fn, run) ->
+      List.iter
+        (fun (label, plan) ->
+          check_bool (prefix ^ label) true
+            (try
+               run ~plan ~steps:5;
+               false
+             with Invalid_argument _ -> true))
+        Faults.Schedule.
+          [
+            ( "step out of range",
+              [ { step = 9; event = Load_shock { node = 0; amount = 1 } } ] );
+            ( "node out of range",
+              [ { step = 1; event = Load_shock { node = 7; amount = 1 } } ] );
+            ( "port out of range",
+              [ { step = 1; event = Edge_outage { node = 0; port = 5; last_step = 2 } } ]
+            );
+          ];
+      Alcotest.check_raises (prefix ^ "step 1 of a zero-step run")
+        (Invalid_argument (fn ^ ": fault at step 1 outside [1, 0]"))
+        (fun () ->
+          run
+            ~plan:
+              [
+                {
+                  Faults.Schedule.step = 1;
+                  event = Faults.Schedule.Load_shock { node = 0; amount = 100 };
+                };
+              ]
+            ~steps:0))
+    engines
 
 let prop_sequential_equals_sharded_under_faults =
   QCheck.Test.make

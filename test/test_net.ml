@@ -393,6 +393,67 @@ let prop_conservation_under_random_faults =
                + report.Net.Async_engine.injected - report.Net.Async_engine.lost)
         (algo_specs d))
 
+(* Both engines apply crashes and shocks through Faults.Apply, so on a
+   reliable network with σ = 0 a faulted run must end exactly where the
+   sequential fault engine ends.  Outages are left out: the fault
+   engine keeps a dead port's tokens home, the network retransmits
+   them once the link is back. *)
+let prop_matches_fault_engine =
+  QCheck.Test.make ~name:"reliable network ≡ fault engine under crashes and shocks"
+    ~count:30 QCheck.(int_range 0 1_000_000)
+    (fun case_seed ->
+      let rng = Prng.Splitmix.create case_seed in
+      let graph =
+        match Prng.Splitmix.int rng 3 with
+        | 0 -> Graphs.Gen.cycle (8 + Prng.Splitmix.int rng 12)
+        | 1 -> Graphs.Gen.torus [ 4; 4 ]
+        | _ -> Graphs.Gen.hypercube 4
+      in
+      let n = Graphs.Graph.n graph in
+      let d = Graphs.Graph.degree graph in
+      let steps = 25 in
+      let plan =
+        List.init (1 + Prng.Splitmix.int rng 4) (fun _ ->
+            let step = 1 + Prng.Splitmix.int rng steps in
+            let node = Prng.Splitmix.int rng n in
+            let event =
+              if Prng.Splitmix.bool rng then
+                Faults.Schedule.Crash
+                  {
+                    node;
+                    state =
+                      (if Prng.Splitmix.bool rng then Faults.Schedule.Wipe_state
+                       else Faults.Schedule.Keep_state);
+                    tokens =
+                      (if Prng.Splitmix.bool rng then Faults.Schedule.Lose_tokens
+                       else Faults.Schedule.Spill_tokens);
+                  }
+              else
+                Faults.Schedule.Load_shock
+                  { node; amount = 1 + Prng.Splitmix.int rng 200 }
+            in
+            { Faults.Schedule.step; event })
+      in
+      let init = Core.Loads.random_composition rng ~n ~total:(12 * n) in
+      List.for_all
+        (fun spec ->
+          let make_balancer () = Harness.Experiment.build_balancer spec graph ~init in
+          let f =
+            Faults.Engine.run ~graph ~make_balancer ~plan ~init ~steps ()
+          in
+          let r =
+            Net.Async_engine.run ~plan ~graph ~balancer:(make_balancer ()) ~init
+              ~steps ()
+          in
+          f.Faults.Engine.result.Core.Engine.final_loads
+          = r.Net.Async_engine.result.Core.Engine.final_loads
+          && f.Faults.Engine.injected = r.Net.Async_engine.injected
+          && f.Faults.Engine.lost = r.Net.Async_engine.lost
+          && f.Faults.Engine.spilled = r.Net.Async_engine.spilled)
+        (List.filter
+           (function Harness.Experiment.Mimic _ -> false | _ -> true)
+           (algo_specs d)))
+
 (* A rotor-router* whose saved state shows node 0's rotor at 2d − 1,
    one past the last of the 2d − 1 positions its rotor turns over: the
    network watchdog must flag it like the fault layer's. *)
@@ -442,5 +503,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_retx_delay_backoff;
           QCheck_alcotest.to_alcotest prop_conservation_under_random_faults;
+          QCheck_alcotest.to_alcotest prop_matches_fault_engine;
         ] );
     ]
