@@ -370,5 +370,14 @@ echo "$perf" | tail -n 1 | grep -q '"correct": true' || {
   echo "$perf" >&2
   exit 1
 }
+# The graph build sets this workload's peak heap.  Built in place, it
+# stays near the graph's own two n*d-word arrays (33.6 MB); the figure
+# is deterministic for one build and seed.
+echo "$perf" | tail -n 1 | python3 -c '
+import json, sys
+heap = json.load(sys.stdin)["metrics"]["peak_heap_mb"]["value"]
+if heap > 50:
+    sys.exit("perfbench closed-expander peak_heap_mb %.2f MB exceeds 50 MB" % heap)
+'
 
 echo "== ci.sh: all green =="

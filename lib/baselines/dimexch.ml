@@ -17,8 +17,7 @@ let edge_coloring g =
   let node_used = Array.make_matrix n max_colors false in
   let classes = Array.make max_colors [] in
   let used_colors = ref 0 in
-  Array.iter
-    (fun (u, v) ->
+  Graphs.Graph.iter_edges g (fun u v ->
       let c = ref 0 in
       while node_used.(u).(!c) || node_used.(v).(!c) do
         incr c
@@ -26,8 +25,7 @@ let edge_coloring g =
       node_used.(u).(!c) <- true;
       node_used.(v).(!c) <- true;
       classes.(!c) <- (u, v) :: classes.(!c);
-      if !c + 1 > !used_colors then used_colors := !c + 1)
-    (Graphs.Graph.edges g);
+      if !c + 1 > !used_colors then used_colors := !c + 1);
   Array.init !used_colors (fun c -> Array.of_list classes.(c))
 
 let random_maximal_matching rng g =

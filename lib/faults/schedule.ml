@@ -55,10 +55,11 @@ let realize ~seed ~graph specs =
           (* Draw once per undirected edge (canonical orientation), then
              emit both directed halves so the edge is fully down. *)
           let out = ref [] in
+          let rev = Graphs.Graph.reverse_ports graph in
           for u = 0 to n - 1 do
             for k = 0 to d - 1 do
               let v = Graphs.Graph.neighbor graph u k in
-              let k' = Graphs.Graph.reverse_port graph u k in
+              let k' = rev.((u * d) + k) in
               if (u, k) < (v, k') && Prng.Splitmix.bernoulli rng rate then begin
                 let last_step = step + duration - 1 in
                 out :=

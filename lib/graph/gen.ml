@@ -52,16 +52,10 @@ let torus sides =
   for u = 0 to n - 1 do
     for d = 0 to r - 1 do
       let c = coord u d in
-      let v = with_coord u d ((c + 1) mod sides.(d)) in
-      (* Emit each wrap-around edge once: from the node where it "starts". *)
-      if c + 1 < sides.(d) || sides.(d) > 2 then
-        if u <> v then edges := (u, v) :: !edges
+      (* Every side is >= 3, so (u, u+1 mod side) lists each edge once. *)
+      edges := (u, with_coord u d ((c + 1) mod sides.(d))) :: !edges
     done
   done;
-  (* Each undirected edge got emitted exactly once per direction d from the
-     lower-coordinate side, except that for the wrap edge both descriptions
-     coincide only when side = 2 (excluded).  The loop above emits (u, u+1)
-     for every u including the wrap, so each edge appears once. *)
   Graph.of_edges ~n !edges
 
 let circulant n offsets =
@@ -112,87 +106,62 @@ let petersen () =
 
 (* --- Random regular graphs: pairing model with swap repair. --- *)
 
-(* The repair's multiset of unordered pairs {u, v}: an open-addressing
-   table of counts keyed by [min u v * n + max u v], with a
-   multiplicative hash and linear probing.  [cells] interleaves key and
-   count; key -1 marks an empty cell.  A key whose count drops to 0 is
-   deleted by shifting the rest of its probe run back, so no tombstones
-   pile up: at most m keys are ever present and the capacity is at least
-   2m.  The table only answers count queries, so its layout never
-   reaches any output. *)
-type pair_counts = { n : int; bits : int; cells : int array }
-
-let pair_key t u v = if u < v then (u * t.n) + v else (v * t.n) + u
-
-let home t key = (key * 0x2545F4914F6CDD1D) lsr (63 - t.bits)
-
-let next_cell t s = (s + 1) land ((1 lsl t.bits) - 1)
-
-(* The cell holding [key], or the empty cell where it would go. *)
-let rec probe t key s =
-  let k = t.cells.(2 * s) in
-  if k = key || k = -1 then s else probe t key (next_cell t s)
-
-let find_cell t key = probe t key (home t key)
-
-let count t u v =
-  let key = pair_key t u v in
-  let s = find_cell t key in
-  if t.cells.(2 * s) = key then t.cells.((2 * s) + 1) else 0
-
-let add t u v =
-  let key = pair_key t u v in
-  let s = find_cell t key in
-  if t.cells.(2 * s) = key then t.cells.((2 * s) + 1) <- t.cells.((2 * s) + 1) + 1
-  else begin
-    t.cells.(2 * s) <- key;
-    t.cells.((2 * s) + 1) <- 1
-  end
-
-(* Empty cell [hole], then walk on through its run: a later key may
-   move back into the hole unless its home lies cyclically in
-   (hole, s], where the move would put it before its home. *)
-let rec close_hole t hole s =
-  let s = next_cell t s in
-  let k = t.cells.(2 * s) in
-  if k = -1 then t.cells.(2 * hole) <- -1
-  else begin
-    let h = home t k in
-    let stays = if hole < s then hole < h && h <= s else hole < h || h <= s in
-    if stays then close_hole t hole s
-    else begin
-      t.cells.(2 * hole) <- k;
-      t.cells.((2 * hole) + 1) <- t.cells.((2 * s) + 1);
-      close_hole t s s
-    end
-  end
-
-let remove t u v =
-  let key = pair_key t u v in
-  let s = find_cell t key in
-  if t.cells.(2 * s) = key then
-    if t.cells.((2 * s) + 1) > 1 then t.cells.((2 * s) + 1) <- t.cells.((2 * s) + 1) - 1
-    else close_hole t s s
-
-let pair_counts ~n a b =
-  let m = Array.length a in
-  let bits = ref 1 in
-  while 1 lsl !bits < 2 * m do
-    incr bits
+(* The repair works on the adjacency rows themselves: row u lists the
+   other end of each of u's stubs, so the multiplicity of the pair
+   {u, v} is the number of v's in row u (asked only for u <> v).  An
+   edge being moved leaves a -1 hole at both ends. *)
+let count adj ~d u v =
+  let c = ref 0 in
+  for p = u * d to (u * d) + d - 1 do
+    if adj.(p) = v then incr c
   done;
-  let t = { n; bits = !bits; cells = Array.make (2 lsl !bits) (-1) } in
-  Array.iteri (fun i u -> add t u b.(i)) a;
-  t
+  !c
+
+(* Overwrite the first [x] at or after [p] with [y]. *)
+let rec replace adj p x y = if adj.(p) = x then adj.(p) <- y else replace adj (p + 1) x y
+
+let remove adj ~d u v =
+  replace adj (u * d) v (-1);
+  replace adj (v * d) u (-1)
+
+let add adj ~d u v =
+  replace adj (u * d) (-1) v;
+  replace adj (v * d) (-1) u
+
+(* The nodes whose row holds a loop or a repeated entry.  Only edges
+   listed from such a node can be bad, then or later: an accepted swap
+   removes copies and adds two pairs that were absent, so it never makes
+   an edge bad. *)
+let suspects adj ~d =
+  let n = Array.length adj / d in
+  let s = Bytes.make n '\000' in
+  for u = 0 to n - 1 do
+    let last = (u * d) + d - 1 in
+    for p = u * d to last do
+      let v = adj.(p) in
+      if v = u then Bytes.set s u '\001';
+      for q = p + 1 to last do
+        if adj.(q) = v then Bytes.set s u '\001'
+      done
+    done
+  done;
+  s
 
 (* Repeatedly resolve loops / parallel edges by swapping endpoints with a
-   random other pair; accepted only if it strictly reduces badness. *)
-let repair rng ~n a b =
-  let m = Array.length a in
-  let multiset = pair_counts ~n a b in
-  (* A loop, or a parallel edge (its pair is counted more than once). *)
-  let bad i = a.(i) = b.(i) || count multiset a.(i) b.(i) > 1 in
+   random other pair; accepted only if it strictly reduces badness.
+   Every node a proposal touches gets its cursor reset to 0, so that
+   {!Graph.fill_rows} re-lays its row in edge order afterwards. *)
+let repair rng ~d ends adj cursor =
+  let m = Array.length ends / 2 in
+  let suspect = suspects adj ~d in
+  (* A loop, or a parallel edge (its pair is counted more than once).
+     The suspect test first spares a random row access per good edge. *)
+  let bad i =
+    let u = ends.(2 * i) and v = ends.((2 * i) + 1) in
+    Bytes.get suspect u = '\001' && (u = v || count adj ~d u v > 1)
+  in
   (* A pair about to be added: a loop, or any existing copy. *)
-  let would_be_bad u v = u = v || count multiset u v > 0 in
+  let would_be_bad u v = u = v || count adj ~d u v > 0 in
   let budget = ref (200 * m) in
   let rec fix_one i =
     if !budget <= 0 then false
@@ -201,27 +170,30 @@ let repair rng ~n a b =
       let j = Prng.Splitmix.int rng m in
       if j = i then fix_one i
       else begin
-        let u1 = a.(i) and v1 = b.(i) in
-        let u2 = a.(j) and v2 = b.(j) in
+        let u1 = ends.(2 * i) and v1 = ends.((2 * i) + 1) in
+        let u2 = ends.(2 * j) and v2 = ends.((2 * j) + 1) in
+        cursor.(u1) <- 0;
+        cursor.(v1) <- 0;
+        cursor.(u2) <- 0;
+        cursor.(v2) <- 0;
         (* Propose the swap (u1,v1),(u2,v2) -> (u1,v2),(u2,v1). *)
-        remove multiset u1 v1;
-        remove multiset u2 v2;
+        remove adj ~d u1 v1;
+        remove adj ~d u2 v2;
         let ok =
           (not (would_be_bad u1 v2))
           && (not (would_be_bad u2 v1))
-          && u1 <> v2 && u2 <> v1
-          && pair_key multiset u1 v2 <> pair_key multiset u2 v1
+          && not ((u1 = u2 && v2 = v1) || (u1 = v1 && v2 = u2))
         in
         if ok then begin
-          b.(i) <- v2;
-          b.(j) <- v1;
-          add multiset u1 v2;
-          add multiset u2 v1;
+          ends.((2 * i) + 1) <- v2;
+          ends.((2 * j) + 1) <- v1;
+          add adj ~d u1 v2;
+          add adj ~d u2 v1;
           true
         end
         else begin
-          add multiset u1 v1;
-          add multiset u2 v2;
+          add adj ~d u1 v1;
+          add adj ~d u2 v2;
           fix_one i
         end
       end
@@ -241,14 +213,16 @@ let random_regular ?(max_attempts = 200) rng ~n ~d =
   if d < 3 then invalid_arg "Gen.random_regular: d must be >= 3 (use cycle for d = 2)";
   if d >= n then invalid_arg "Gen.random_regular: d must be < n";
   if n * d mod 2 <> 0 then invalid_arg "Gen.random_regular: n * d must be even";
-  let m = n * d / 2 in
   let attempt () =
-    let stubs = Array.init (n * d) (fun i -> i / d) in
-    Prng.Sample.shuffle rng stubs;
-    let a = Array.init m (fun i -> stubs.(2 * i)) in
-    let b = Array.init m (fun i -> stubs.((2 * i) + 1)) in
-    if repair rng ~n a b then begin
-      let g = Graph.of_edge_arrays ~n a b in
+    (* The shuffled stubs, read in pairs, are the edge list itself. *)
+    let ends = Array.init (n * d) (fun i -> i / d) in
+    Prng.Sample.shuffle rng ends;
+    let adj = Array.make (n * d) (-1) in
+    let cursor = Array.make n 0 in
+    Graph.fill_rows ~degree:d ends adj cursor;
+    if repair rng ~d ends adj cursor then begin
+      Graph.fill_rows ~degree:d ends adj cursor;
+      let g = Graph.of_rows ~n ends adj in
       if Props.is_connected g then Some g else None
     end
     else None
@@ -263,10 +237,6 @@ let random_regular ?(max_attempts = 200) rng ~n ~d =
 
 let bipartite_double_cover g =
   let n = Graph.n g in
-  let edges =
-    Array.to_list (Graph.edges g)
-    |> List.concat_map (fun (u, v) -> [ (u, n + v); (v, n + u) ])
-  in
-  Graph.of_edges ~n:(2 * n) edges
-
-let is_connected_regular g = Props.is_connected g
+  let edges = ref [] in
+  Graph.iter_edges g (fun u v -> edges := (v, n + u) :: (u, n + v) :: !edges);
+  Graph.of_edges ~n:(2 * n) (List.rev !edges)

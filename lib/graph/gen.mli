@@ -40,7 +40,9 @@ val petersen : unit -> Graph.t
 val random_regular : ?max_attempts:int -> Prng.Splitmix.t -> n:int -> d:int -> Graph.t
 (** Uniform-ish random simple d-regular graph by the pairing
     (configuration) model with rejection of loops/parallel edges and a
-    final edge-switch repair pass.  [n·d] must be even, [d < n].
+    final edge-switch repair pass, run in place on the adjacency rows:
+    the build's peak heap is the graph's two n·d-word arrays plus O(n)
+    words.  [n·d] must be even, [d < n].
     @raise Failure if no simple graph is found within
     [max_attempts] (default 200) full restarts — practically unreachable
     for d = O(√n). *)
@@ -50,7 +52,3 @@ val bipartite_double_cover : Graph.t -> Graph.t
     with (u,0)–(v,1) for every edge uv.  Always bipartite and d-regular;
     connected iff the base graph is connected and non-bipartite — the
     structure behind {!Props.odd_girth}'s computation. *)
-
-val is_connected_regular : Graph.t -> bool
-(** Convenience re-export used by generators' tests: connected and (by
-    construction) regular. *)

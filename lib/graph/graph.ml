@@ -1,20 +1,17 @@
 type t = {
   n : int;
   degree : int;
-  adj : int array;      (* adj.(u * degree + k) = endpoint of port k of u *)
-  rev : int array;      (* rev.(u * degree + k) = matching port at the endpoint *)
-  src : int array;      (* edge i is (src.(i), dst.(i)), in the order given *)
-  dst : int array;
+  adj : int array;   (* adj.(u * degree + k) = endpoint of port k of u *)
+  ends : int array;  (* edge i is (ends.(2i), ends.(2i+1)), in the order given *)
 }
 
-let of_edge_arrays ~n a b =
+(* The common degree of the edges in [ends], after the range,
+   self-edge and regularity checks. *)
+let check_ends ~n ends =
   if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";
-  let m = Array.length a in
-  if Array.length b <> m then
-    invalid_arg "Graph.of_edge_arrays: endpoint arrays differ in length";
   let deg = Array.make n 0 in
-  for i = 0 to m - 1 do
-    let u = a.(i) and v = b.(i) in
+  for i = 0 to (Array.length ends / 2) - 1 do
+    let u = ends.(2 * i) and v = ends.((2 * i) + 1) in
     if u < 0 || u >= n || v < 0 || v >= n then
       invalid_arg "Graph.of_edges: endpoint out of range";
     if u = v then invalid_arg "Graph.of_edges: self-edges are not allowed";
@@ -29,29 +26,43 @@ let of_edge_arrays ~n a b =
           (Printf.sprintf "Graph.of_edges: not regular (node %d has degree %d, node 0 has %d)"
              u du d))
     deg;
-  let adj = Array.make (n * d) (-1) in
-  let rev = Array.make (n * d) (-1) in
-  let next = Array.make n 0 in
-  for i = 0 to m - 1 do
-    let u = a.(i) and v = b.(i) in
-    let ku = next.(u) in
-    next.(u) <- ku + 1;
-    let kv = next.(v) in
-    next.(v) <- kv + 1;
-    adj.((u * d) + ku) <- v;
-    adj.((v * d) + kv) <- u;
-    rev.((u * d) + ku) <- kv;
-    rev.((v * d) + kv) <- ku
-  done;
-  { n; degree = d; adj; rev; src = a; dst = b }
+  d
+
+let fill_rows ~degree:d ends adj cursor =
+  for i = 0 to (Array.length ends / 2) - 1 do
+    let u = ends.(2 * i) and v = ends.((2 * i) + 1) in
+    let ku = cursor.(u) in
+    if ku < d then begin
+      adj.((u * d) + ku) <- v;
+      cursor.(u) <- ku + 1
+    end;
+    let kv = cursor.(v) in
+    if kv < d then begin
+      adj.((v * d) + kv) <- u;
+      cursor.(v) <- kv + 1
+    end
+  done
+
+let of_rows ~n ends adj =
+  let d = check_ends ~n ends in
+  if Array.length adj <> n * d then invalid_arg "Graph.of_rows: adjacency is not n * degree long";
+  { n; degree = d; adj; ends }
 
 let of_edges ~n edges =
-  let edges = Array.of_list edges in
-  of_edge_arrays ~n (Array.map fst edges) (Array.map snd edges)
+  let ends = Array.make (2 * List.length edges) 0 in
+  List.iteri
+    (fun i (u, v) ->
+      ends.(2 * i) <- u;
+      ends.((2 * i) + 1) <- v)
+    edges;
+  let d = check_ends ~n ends in
+  let adj = Array.make (n * d) (-1) in
+  fill_rows ~degree:d ends adj (Array.make n 0);
+  { n; degree = d; adj; ends }
 
 let n g = g.n
 let degree g = g.degree
-let edge_count g = Array.length g.src
+let edge_count g = Array.length g.ends / 2
 
 let check_port g u k =
   if u < 0 || u >= g.n || k < 0 || k >= g.degree then
@@ -61,19 +72,43 @@ let neighbor g u k =
   check_port g u k;
   g.adj.((u * g.degree) + k)
 
-let neighbors g u =
-  if u < 0 || u >= g.n then invalid_arg "Graph.neighbors";
-  Array.sub g.adj (u * g.degree) g.degree
-
+(* Ports follow edge order at both endpoints, so the j-th copy of (u, v)
+   among u's ports is the j-th copy among v's. *)
 let reverse_port g u k =
   check_port g u k;
-  g.rev.((u * g.degree) + k)
+  let d = g.degree and adj = g.adj in
+  let v = adj.((u * d) + k) in
+  let j = ref 0 in
+  for p = u * d to (u * d) + k - 1 do
+    if adj.(p) = v then incr j
+  done;
+  let rec find k' j =
+    if adj.((v * d) + k') <> u then find (k' + 1) j
+    else if j = 0 then k'
+    else find (k' + 1) (j - 1)
+  in
+  find 0 !j
 
-let edges g = Array.init (Array.length g.src) (fun i -> (g.src.(i), g.dst.(i)))
+let reverse_ports g =
+  let d = g.degree in
+  let rev = Array.make (g.n * d) 0 in
+  let next = Array.make g.n 0 in
+  for i = 0 to edge_count g - 1 do
+    let u = g.ends.(2 * i) and v = g.ends.((2 * i) + 1) in
+    let ku = next.(u) and kv = next.(v) in
+    next.(u) <- ku + 1;
+    next.(v) <- kv + 1;
+    rev.((u * d) + ku) <- kv;
+    rev.((v * d) + kv) <- ku
+  done;
+  rev
 
-let directed_edge_index g u k =
-  check_port g u k;
-  (u * g.degree) + k
+let iter_edges g f =
+  for i = 0 to edge_count g - 1 do
+    f g.ends.(2 * i) g.ends.((2 * i) + 1)
+  done
+
+let edges g = Array.init (edge_count g) (fun i -> (g.ends.(2 * i), g.ends.((2 * i) + 1)))
 
 let adjacency g = g.adj
 
@@ -94,13 +129,7 @@ let multiplicity g u v =
   !c
 
 let has_parallel_edges g =
-  let found = ref false in
-  for u = 0 to g.n - 1 do
-    let seen = Hashtbl.create g.degree in
-    iter_ports g u (fun _ v ->
-        if Hashtbl.mem seen v then found := true else Hashtbl.add seen v ())
-  done;
-  !found
-
-let pp ppf g =
-  Format.fprintf ppf "graph(n=%d, d=%d, m=%d)" g.n g.degree (edge_count g)
+  let rec from p =
+    p < Array.length g.adj && (multiplicity g (p / g.degree) g.adj.(p) > 1 || from (p + 1))
+  in
+  from 0

@@ -75,15 +75,12 @@ let create ?(on_message = fun _ -> ()) ~graph ~channel ~config () =
   let d = Graphs.Graph.degree graph in
   let edges = n * d in
   let adj = Graphs.Graph.adjacency graph in
-  let rev = Array.make edges 0 in
+  let rev = Graphs.Graph.reverse_ports graph in
   let incoming_lists = Array.make n [] in
-  for u = 0 to n - 1 do
-    for k = 0 to d - 1 do
-      let e = (u * d) + k in
-      let v = adj.(e) in
-      rev.(e) <- (v * d) + Graphs.Graph.reverse_port graph u k;
-      incoming_lists.(v) <- e :: incoming_lists.(v)
-    done
+  for e = 0 to edges - 1 do
+    let v = adj.(e) in
+    rev.(e) <- (v * d) + rev.(e);
+    incoming_lists.(v) <- e :: incoming_lists.(v)
   done;
   {
     channel;

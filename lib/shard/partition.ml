@@ -96,15 +96,13 @@ let stats t g =
   let cut = ref 0 and internal = ref 0 in
   let boundary = Array.make t.shards 0 in
   let is_boundary = Array.make n false in
-  Array.iter
-    (fun (u, v) ->
+  Graphs.Graph.iter_edges g (fun u v ->
       if t.owner.(u) = t.owner.(v) then incr internal
       else begin
         incr cut;
         is_boundary.(u) <- true;
         is_boundary.(v) <- true
-      end)
-    (Graphs.Graph.edges g);
+      end);
   for u = 0 to n - 1 do
     if is_boundary.(u) then boundary.(t.owner.(u)) <- boundary.(t.owner.(u)) + 1
   done;

@@ -178,7 +178,8 @@ let graph_digest g =
 (* Seed-pinned random regular graphs.  The rng's next draw after the
    build pins how many draws the pairing, the repair and the restarts
    consumed.  (50, 20) repairs heavily; (10, 3) and (12, 5) are small
-   enough to restart. *)
+   enough to restart; (8, 7) can only end as K_8 and (50, 30) is dense,
+   so both lean on the repair's rejections. *)
 let test_random_regular_golden () =
   List.iter
     (fun (n, d, seed, digest, next) ->
@@ -195,7 +196,24 @@ let test_random_regular_golden () =
       (12, 5, 3, "9ff0e9b94b544130ec04694bdf48cbdb", -8212947087056445887L);
       (12, 5, 11, "006730156e68aeee7ca0ffab0ddbf163", -1712415665580914381L);
       (1 lsl 14, 8, 2015, "6b60eadb19b9be529f547fde5b1d8e5b", 3695332237373117623L);
+      (8, 7, 1, "4b9536acbbbfbd1add7a7683ace531d6", 9190408975747539360L);
+      (8, 7, 2, "557a019dcbbce41a99daf394dd171d5e", 5516926183006936410L);
+      (50, 30, 1, "9915c44bb096d60d2f98acabff490b90", 4825352780376982854L);
+      (50, 30, 2, "ebf28d77cf686a99ba9557047e7859f8", -8544089175952606372L);
     ]
+
+(* Seeds on which every attempt fails: the message, and the rng's next
+   draw, which pins the draws of the failed repairs. *)
+let test_random_regular_exhausted_golden () =
+  List.iter
+    (fun (max_attempts, seed, next) ->
+      let rng = Prng.Splitmix.create seed in
+      let name = Printf.sprintf "random_regular n=8 d=7 max_attempts=%d seed=%d" max_attempts seed in
+      Alcotest.check_raises name
+        (Failure "Gen.random_regular: exhausted attempts (graph too constrained)")
+        (fun () -> ignore (Graphs.Gen.random_regular ~max_attempts rng ~n:8 ~d:7));
+      Alcotest.(check int64) (name ^ " next draw") next (Prng.Splitmix.next64 rng))
+    [ (1, 3, -4821081084679084234L); (2, 2, 6674187204813061685L) ]
 
 let test_deterministic_generators_golden () =
   List.iter
@@ -344,6 +362,8 @@ let () =
       ( "graph generators",
         [
           Alcotest.test_case "random regular" `Quick test_random_regular_golden;
+          Alcotest.test_case "random regular exhausted" `Quick
+            test_random_regular_exhausted_golden;
           Alcotest.test_case "torus, hypercube, petersen" `Quick
             test_deterministic_generators_golden;
         ] );

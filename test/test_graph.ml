@@ -5,7 +5,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let sorted_neighbors g u =
-  let a = Graphs.Graph.neighbors g u in
+  let a = Array.init (Graphs.Graph.degree g) (Graphs.Graph.neighbor g u) in
   Array.sort compare a;
   a
 
@@ -35,8 +35,8 @@ let test_of_edges_rejects_out_of_range () =
     (Invalid_argument "Graph.of_edges: endpoint out of range") (fun () ->
       ignore (Graphs.Graph.of_edges ~n:2 [ (0, 5) ]))
 
-(* Both constructors raise the same text for each kind of bad input. *)
-let test_of_edge_arrays_errors () =
+(* The constructor's text for each kind of bad input. *)
+let test_of_edges_errors () =
   let raised f =
     match f () with
     | (_ : Graphs.Graph.t) -> "no exception"
@@ -44,22 +44,39 @@ let test_of_edge_arrays_errors () =
   in
   List.iter
     (fun (n, edges, expected) ->
-      let a = Array.of_list (List.map fst edges) in
-      let b = Array.of_list (List.map snd edges) in
       Alcotest.(check string) ("of_edges: " ^ expected) expected
-        (raised (fun () -> Graphs.Graph.of_edges ~n edges));
-      Alcotest.(check string) ("of_edge_arrays: " ^ expected) expected
-        (raised (fun () -> Graphs.Graph.of_edge_arrays ~n a b)))
+        (raised (fun () -> Graphs.Graph.of_edges ~n edges)))
     [
       (0, [], "Graph.of_edges: n must be positive");
       (2, [ (0, 5) ], "Graph.of_edges: endpoint out of range");
       (2, [ (-1, 0) ], "Graph.of_edges: endpoint out of range");
       (2, [ (0, 0); (0, 1) ], "Graph.of_edges: self-edges are not allowed");
       (3, [ (0, 1) ], "Graph.of_edges: not regular (node 2 has degree 0, node 0 has 1)");
-    ];
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Graph.of_edge_arrays: endpoint arrays differ in length")
-    (fun () -> ignore (Graphs.Graph.of_edge_arrays ~n:2 [| 0 |] [||]))
+    ]
+
+(* Multigraphs whose parallel edges are interleaved with others and
+   given in both orientations: the j-th copy of (u, v) at u pairs with
+   the j-th copy at v.  Adjacency and reverse ports pinned literally. *)
+let test_multigraph_reverse_ports () =
+  List.iter
+    (fun (n, edges, adj, rev) ->
+      let g = Graphs.Graph.of_edges ~n edges in
+      let d = Graphs.Graph.degree g in
+      Alcotest.(check (array int)) "adjacency" adj (Graphs.Graph.adjacency g);
+      Alcotest.(check (array int)) "reverse ports" rev
+        (Array.init (n * d) (fun p -> Graphs.Graph.reverse_port g (p / d) (p mod d))))
+    [
+      ( 4,
+        [ (0, 1); (2, 3); (1, 0); (0, 2); (1, 3); (3, 2) ],
+        [| 1; 1; 2; 0; 0; 3; 3; 0; 3; 2; 1; 2 |],
+        [| 0; 1; 1; 0; 1; 1; 0; 2; 2; 0; 2; 2 |] );
+      (2, [ (1, 0); (0, 1); (1, 0) ], [| 1; 1; 1; 0; 0; 0 |], [| 0; 1; 2; 0; 1; 2 |]);
+      ( 4,
+        [ (0, 1); (2, 3); (0, 2); (1, 0); (3, 1); (2, 3);
+          (0, 1); (3, 2); (1, 2); (0, 3); (1, 3); (2, 0) ],
+        [| 1; 2; 1; 1; 3; 2; 0; 0; 3; 0; 2; 3; 3; 0; 3; 3; 1; 0; 2; 1; 2; 2; 0; 1 |],
+        [| 0; 1; 1; 3; 4; 5; 0; 2; 1; 3; 4; 5; 0; 1; 2; 3; 4; 5; 0; 2; 2; 3; 4; 5 |] );
+    ]
 
 let test_reverse_port_involution () =
   let g = Graphs.Gen.torus [ 3; 3 ] in
@@ -181,6 +198,22 @@ let test_random_regular_valid () =
       check_bool "simple" false (Graphs.Graph.has_parallel_edges g))
     [ (16, 3); (32, 4); (64, 6); (20, 8) ]
 
+(* The generator lays its rows out in place: the ports must still follow
+   edge order, so the stored-order reverse-port table agrees with the
+   row scan and pairs the two orientations of every edge. *)
+let test_random_regular_reverse_ports () =
+  let g = Graphs.Gen.random_regular (Prng.Splitmix.create 5) ~n:200 ~d:7 in
+  let d = Graphs.Graph.degree g in
+  let rev = Graphs.Graph.reverse_ports g in
+  for u = 0 to Graphs.Graph.n g - 1 do
+    for k = 0 to d - 1 do
+      let v = Graphs.Graph.neighbor g u k and k' = rev.((u * d) + k) in
+      check_int "table = scan" k' (Graphs.Graph.reverse_port g u k);
+      check_int "reverse endpoint" u (Graphs.Graph.neighbor g v k');
+      check_int "involution" k rev.((v * d) + k')
+    done
+  done
+
 let test_random_regular_rejects_odd () =
   let rng = Prng.Splitmix.create 1 in
   check_bool "odd nd rejected" true
@@ -281,18 +314,13 @@ let random_matchings_edges rng ~half ~d =
              if Prng.Splitmix.bool rng then (p.(2 * i), p.((2 * i) + 1))
              else (p.((2 * i) + 1), p.(2 * i)))))
 
-let prop_of_edge_arrays_matches_of_edges =
-  QCheck.Test.make ~name:"of_edge_arrays and of_edges build the same graph" ~count:100
+let prop_of_edges_port_order =
+  QCheck.Test.make ~name:"of_edges ports in edge order" ~count:100
     QCheck.(triple (int_range 1 20) (int_range 1 6) small_nat)
     (fun (half, d, seed) ->
       let n = 2 * half in
       let edges = random_matchings_edges (Prng.Splitmix.create seed) ~half ~d in
       let g = Graphs.Graph.of_edges ~n edges in
-      let h =
-        Graphs.Graph.of_edge_arrays ~n
-          (Array.of_list (List.map fst edges))
-          (Array.of_list (List.map snd edges))
-      in
       (* Reference: ports numbered in order of appearance in the list. *)
       let adj = Array.make (n * d) (-1) and rev = Array.make (n * d) (-1) in
       let next = Array.make n 0 in
@@ -306,26 +334,31 @@ let prop_of_edge_arrays_matches_of_edges =
           rev.((u * d) + ku) <- kv;
           rev.((v * d) + kv) <- ku)
         edges;
-      let same_ports g =
-        Graphs.Graph.degree g = d
-        && Array.for_all2 Int.equal adj (Graphs.Graph.adjacency g)
-        && Array.for_all Fun.id
-             (Array.init (n * d) (fun p ->
-                  Graphs.Graph.reverse_port g (p / d) (p mod d) = rev.(p)))
-      in
-      let same_edges g =
-        Graphs.Graph.edge_count g = List.length edges
-        && Array.to_list (Graphs.Graph.edges g) = edges
-      in
-      same_ports g && same_ports h && same_edges g && same_edges h)
+      Graphs.Graph.degree g = d
+      && Array.for_all2 Int.equal adj (Graphs.Graph.adjacency g)
+      && Array.for_all Fun.id
+           (Array.init (n * d) (fun p ->
+                Graphs.Graph.reverse_port g (p / d) (p mod d) = rev.(p)))
+      && Array.for_all2 Int.equal rev (Graphs.Graph.reverse_ports g)
+      && Graphs.Graph.edge_count g = List.length edges
+      && Array.to_list (Graphs.Graph.edges g) = edges
+      &&
+      let seen = ref [] in
+      Graphs.Graph.iter_edges g (fun u v -> seen := (u, v) :: !seen);
+      List.rev !seen = edges)
 
 (* The generator's allocation at n = 2^14, d = 8, in words.  Building
    through tuple lists and a tuple-keyed Hashtbl took about 2.2 M words
    here; the flat-array build takes about 0.85 M. *)
 let test_random_regular_allocation () =
   let rng = Prng.Splitmix.create 1 in
+  (* Settle the GC first, so that no earlier allocation is billed to
+     the window, and empty the minor heap before reading (OCaml 5.1
+     undercounts the words still in it). *)
+  Gc.full_major ();
   let before = Gc.allocated_bytes () in
   let g = Graphs.Gen.random_regular rng ~n:(1 lsl 14) ~d:8 in
+  Gc.minor ();
   let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
   check_int "degree" 8 (Graphs.Graph.degree g);
   check_bool (Printf.sprintf "%.0f words allocated, budget 1.5 M" words) true (words <= 1.5e6)
@@ -340,7 +373,9 @@ let () =
           Alcotest.test_case "rejects irregular" `Quick test_of_edges_rejects_irregular;
           Alcotest.test_case "rejects out of range" `Quick
             test_of_edges_rejects_out_of_range;
-          Alcotest.test_case "of_edge_arrays errors" `Quick test_of_edge_arrays_errors;
+          Alcotest.test_case "of_edges errors" `Quick test_of_edges_errors;
+          Alcotest.test_case "multigraph reverse ports" `Quick
+            test_multigraph_reverse_ports;
           Alcotest.test_case "reverse port involution" `Quick
             test_reverse_port_involution;
           Alcotest.test_case "parallel edges" `Quick test_parallel_edges_supported;
@@ -361,6 +396,8 @@ let () =
           Alcotest.test_case "clique circulant" `Quick test_clique_circulant_has_clique;
           Alcotest.test_case "petersen" `Quick test_petersen;
           Alcotest.test_case "random regular" `Quick test_random_regular_valid;
+          Alcotest.test_case "random regular reverse ports" `Quick
+            test_random_regular_reverse_ports;
           Alcotest.test_case "random regular odd nd" `Quick
             test_random_regular_rejects_odd;
           Alcotest.test_case "random regular allocation" `Quick
@@ -380,6 +417,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_generators_regular_connected;
           QCheck_alcotest.to_alcotest prop_bfs_triangle_inequality;
           QCheck_alcotest.to_alcotest prop_random_regular_simple;
-          QCheck_alcotest.to_alcotest prop_of_edge_arrays_matches_of_edges;
+          QCheck_alcotest.to_alcotest prop_of_edges_port_order;
         ] );
     ]
