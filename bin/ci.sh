@@ -349,6 +349,17 @@ dune exec bin/jsonlint.exe -- \
   "$bench_json/BENCH_dist.json"
 rm -rf "$bench_json"
 
+# Fails unless the last perfbench result line in $perf reports
+# peak_heap_mb at most $2 MB for workload $1.
+peak_heap_at_most() {
+  echo "$perf" | tail -n 1 | python3 -c '
+import json, sys
+heap = json.load(sys.stdin)["metrics"]["peak_heap_mb"]["value"]
+if heap > float(sys.argv[2]):
+    sys.exit("perfbench %s peak_heap_mb %.2f MB exceeds %s MB" % (sys.argv[1], heap, sys.argv[2]))
+' "$1" "$2"
+}
+
 echo "== perfbench smoke: open-torus end to end for 2 s =="
 # Builds and runs the repository benchmark's open-system workload.  The
 # script exits non-zero on a build failure, a crash or a malformed
@@ -360,6 +371,10 @@ echo "$perf" | tail -n 1 | grep -q '"correct": true' || {
   echo "$perf" >&2
   exit 1
 }
+# The 256x256 torus build and the open system's buffers set this peak
+# heap; with the edge array written in place (no tuple list) it reads
+# 20.45 MB, deterministic for the build and seed.
+peak_heap_at_most open-torus 24
 
 echo "== perfbench smoke: closed-expander end to end for 2 s =="
 # The only CI path that builds a 2^18-node random 8-regular graph end to
@@ -373,11 +388,6 @@ echo "$perf" | tail -n 1 | grep -q '"correct": true' || {
 # The graph build sets this workload's peak heap.  Built in place, it
 # stays near the graph's own two n*d-word arrays (33.6 MB); the figure
 # is deterministic for one build and seed.
-echo "$perf" | tail -n 1 | python3 -c '
-import json, sys
-heap = json.load(sys.stdin)["metrics"]["peak_heap_mb"]["value"]
-if heap > 50:
-    sys.exit("perfbench closed-expander peak_heap_mb %.2f MB exceeds 50 MB" % heap)
-'
+peak_heap_at_most closed-expander 50
 
 echo "== ci.sh: all green =="

@@ -28,20 +28,23 @@ let edge_coloring g =
       if !c + 1 > !used_colors then used_colors := !c + 1);
   Array.init !used_colors (fun c -> Array.of_list classes.(c))
 
+(* The edges in a random order: a shuffled index permutation, mapped
+   through the edge array (the same draws shuffle both alike). *)
 let random_maximal_matching rng g =
   let n = Graphs.Graph.n g in
   let edges = Graphs.Graph.edges g in
-  Prng.Sample.shuffle rng edges;
+  let order = Prng.Sample.permutation rng (Array.length edges) in
   let matched = Array.make n false in
   let out = ref [] in
   Array.iter
-    (fun (u, v) ->
+    (fun e ->
+      let u, v = edges.(e) in
       if (not matched.(u)) && not matched.(v) then begin
         matched.(u) <- true;
         matched.(v) <- true;
         out := (u, v) :: !out
       end)
-    edges;
+    order;
   Array.of_list !out
 
 let balance_pair ~excess_to_u loads u v =

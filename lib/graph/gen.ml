@@ -1,39 +1,56 @@
+(* Each generator fills the interleaved edge array of {!Graph.of_ends}
+   itself.  Most fill it from the back, edge g of m in loop order at
+   slot m − 1 − g: that order sets the port numbering, which the digest
+   goldens pin.  [push ends p u v] writes (u, v) just before slot !p. *)
+let[@inline] push (ends : int array) p u v =
+  p := !p - 2;
+  ends.(!p) <- u;
+  ends.(!p + 1) <- v
+
 let cycle n =
   if n < 3 then invalid_arg "Gen.cycle: n must be >= 3";
-  Graph.of_edges ~n (List.init n (fun i -> (i, (i + 1) mod n)))
+  let ends = Array.make (2 * n) 0 in
+  for i = 0 to n - 1 do
+    ends.(2 * i) <- i;
+    ends.((2 * i) + 1) <- (if i = n - 1 then 0 else i + 1)
+  done;
+  Graph.of_ends ~n ends
 
 let complete n =
   if n < 2 then invalid_arg "Gen.complete: n must be >= 2";
-  let edges = ref [] in
+  let ends = Array.make (n * (n - 1)) 0 in
+  let p = ref (Array.length ends) in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      edges := (u, v) :: !edges
+      push ends p u v
     done
   done;
-  Graph.of_edges ~n !edges
+  Graph.of_ends ~n ends
 
 let complete_bipartite m =
   if m < 1 then invalid_arg "Gen.complete_bipartite: m must be >= 1";
-  let edges = ref [] in
+  let ends = Array.make (2 * m * m) 0 in
+  let p = ref (Array.length ends) in
   for u = 0 to m - 1 do
     for v = 0 to m - 1 do
-      edges := (u, m + v) :: !edges
+      push ends p u (m + v)
     done
   done;
-  Graph.of_edges ~n:(2 * m) !edges
+  Graph.of_ends ~n:(2 * m) ends
 
 let hypercube r =
   if r < 1 then invalid_arg "Gen.hypercube: r must be >= 1";
   if r > 20 then invalid_arg "Gen.hypercube: r too large";
   let n = 1 lsl r in
-  let edges = ref [] in
+  let ends = Array.make (n * r) 0 in
+  let p = ref (Array.length ends) in
   for u = 0 to n - 1 do
     for b = 0 to r - 1 do
       let v = u lxor (1 lsl b) in
-      if u < v then edges := (u, v) :: !edges
+      if u < v then push ends p u v
     done
   done;
-  Graph.of_edges ~n !edges
+  Graph.of_ends ~n ends
 
 let torus sides =
   if sides = [] then invalid_arg "Gen.torus: need at least one dimension";
@@ -46,17 +63,31 @@ let torus sides =
   for d = r - 2 downto 0 do
     stride.(d) <- stride.(d + 1) * sides.(d + 1)
   done;
-  let coord u d = u / stride.(d) mod sides.(d) in
-  let with_coord u d c = u + ((c - coord u d) * stride.(d)) in
-  let edges = ref [] in
+  (* The coordinates of u, stepped along with u: the last one has
+     stride 1 and carries into the one before it. *)
+  let coord = Array.make r 0 in
+  let rec step d =
+    if d >= 0 then
+      if coord.(d) + 1 < sides.(d) then coord.(d) <- coord.(d) + 1
+      else begin
+        coord.(d) <- 0;
+        step (d - 1)
+      end
+  in
+  let ends = Array.make (2 * n * r) 0 in
+  let p = ref (Array.length ends) in
   for u = 0 to n - 1 do
     for d = 0 to r - 1 do
-      let c = coord u d in
       (* Every side is >= 3, so (u, u+1 mod side) lists each edge once. *)
-      edges := (u, with_coord u d ((c + 1) mod sides.(d))) :: !edges
-    done
+      let v =
+        if coord.(d) + 1 < sides.(d) then u + stride.(d)
+        else u - ((sides.(d) - 1) * stride.(d))
+      in
+      push ends p u v
+    done;
+    step (r - 1)
   done;
-  Graph.of_edges ~n !edges
+  Graph.of_ends ~n ends
 
 let circulant n offsets =
   if n < 3 then invalid_arg "Gen.circulant: n must be >= 3";
@@ -67,20 +98,18 @@ let circulant n offsets =
       if Hashtbl.mem seen o then invalid_arg "Gen.circulant: duplicate offset";
       Hashtbl.add seen o ())
     offsets;
-  let edges = ref [] in
+  (* An antipodal offset is a matching: each edge once. *)
+  let count o = if 2 * o = n then n / 2 else n in
+  let m = List.fold_left (fun acc o -> acc + count o) 0 offsets in
+  let ends = Array.make (2 * m) 0 in
+  let p = ref (Array.length ends) in
   List.iter
     (fun o ->
-      if 2 * o = n then
-        (* Antipodal matching: each edge once. *)
-        for i = 0 to (n / 2) - 1 do
-          edges := (i, i + o) :: !edges
-        done
-      else
-        for i = 0 to n - 1 do
-          edges := (i, (i + o) mod n) :: !edges
-        done)
+      for i = 0 to count o - 1 do
+        push ends p i (if i + o < n then i + o else i + o - n)
+      done)
     offsets;
-  Graph.of_edges ~n !edges
+  Graph.of_ends ~n ends
 
 let clique_circulant ~n ~d =
   if d < 2 then invalid_arg "Gen.clique_circulant: d must be >= 2";
@@ -215,8 +244,13 @@ let random_regular ?(max_attempts = 200) rng ~n ~d =
   if n * d mod 2 <> 0 then invalid_arg "Gen.random_regular: n * d must be even";
   let attempt () =
     (* The shuffled stubs, read in pairs, are the edge list itself. *)
-    let ends = Array.init (n * d) (fun i -> i / d) in
-    Prng.Sample.shuffle rng ends;
+    let ends = Array.make (n * d) 0 in
+    for u = 0 to n - 1 do
+      for p = u * d to (u * d) + d - 1 do
+        ends.(p) <- u
+      done
+    done;
+    Prng.Splitmix.shuffle rng ends;
     let adj = Array.make (n * d) (-1) in
     let cursor = Array.make n 0 in
     Graph.fill_rows ~degree:d ends adj cursor;
@@ -237,6 +271,12 @@ let random_regular ?(max_attempts = 200) rng ~n ~d =
 
 let bipartite_double_cover g =
   let n = Graph.n g in
-  let edges = ref [] in
-  Graph.iter_edges g (fun u v -> edges := (v, n + u) :: (u, n + v) :: !edges);
-  Graph.of_edges ~n:(2 * n) (List.rev !edges)
+  let ends = Array.make (4 * Graph.edge_count g) 0 in
+  let p = ref 0 in
+  Graph.iter_edges g (fun u v ->
+      ends.(!p) <- u;
+      ends.(!p + 1) <- n + v;
+      ends.(!p + 2) <- v;
+      ends.(!p + 3) <- n + u;
+      p := !p + 4);
+  Graph.of_ends ~n:(2 * n) ends

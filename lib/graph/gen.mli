@@ -1,5 +1,9 @@
 (** Generators for the d-regular graph families used in the paper's
-    statements and experiments. *)
+    statements and experiments.
+
+    Every generator fills the graph's interleaved edge array in place
+    and hands it to {!Graph.of_ends}; none builds an edge list.  The
+    edge order, and so every port number, is pinned by digest goldens. *)
 
 val cycle : int -> Graph.t
 (** [cycle n] is the n-cycle (2-regular).  [n >= 3]. *)

@@ -5,10 +5,11 @@ type t = {
   ends : int array;  (* edge i is (ends.(2i), ends.(2i+1)), in the order given *)
 }
 
-(* The common degree of the edges in [ends], after the range,
+(* The common degree of the edges in [ends], after the length, range,
    self-edge and regularity checks. *)
 let check_ends ~n ends =
   if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";
+  if Array.length ends mod 2 <> 0 then invalid_arg "Graph.of_edges: odd number of endpoints";
   let deg = Array.make n 0 in
   for i = 0 to (Array.length ends / 2) - 1 do
     let u = ends.(2 * i) and v = ends.((2 * i) + 1) in
@@ -48,6 +49,12 @@ let of_rows ~n ends adj =
   if Array.length adj <> n * d then invalid_arg "Graph.of_rows: adjacency is not n * degree long";
   { n; degree = d; adj; ends }
 
+let of_ends ~n ends =
+  let d = check_ends ~n ends in
+  let adj = Array.make (n * d) (-1) in
+  fill_rows ~degree:d ends adj (Array.make n 0);
+  { n; degree = d; adj; ends }
+
 let of_edges ~n edges =
   let ends = Array.make (2 * List.length edges) 0 in
   List.iteri
@@ -55,10 +62,7 @@ let of_edges ~n edges =
       ends.(2 * i) <- u;
       ends.((2 * i) + 1) <- v)
     edges;
-  let d = check_ends ~n ends in
-  let adj = Array.make (n * d) (-1) in
-  fill_rows ~degree:d ends adj (Array.make n 0);
-  { n; degree = d; adj; ends }
+  of_ends ~n ends
 
 let n g = g.n
 let degree g = g.degree

@@ -23,6 +23,13 @@ val of_edges : n:int -> (int * int) list -> t
     @raise Invalid_argument on [n <= 0], on out-of-range endpoints, on
     [u = v], or if the resulting graph is not regular. *)
 
+val of_ends : n:int -> int array -> t
+(** [of_ends ~n ends] is {!of_edges} over an interleaved edge array the
+    caller filled, edge [i] being [(ends.(2i), ends.(2i+1))].  The graph
+    adopts [ends] without copying; the caller must not mutate it
+    afterwards.
+    @raise Invalid_argument as {!of_edges}, or if [ends] has odd length. *)
+
 val fill_rows : degree:int -> int array -> int array -> int array -> unit
 (** [fill_rows ~degree ends adj cursor] writes each edge of [ends], in
     order, at port [cursor.(u)] of each endpoint [u] whose cursor is below

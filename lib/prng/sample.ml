@@ -1,14 +1,6 @@
-let shuffle g a =
-  for i = Array.length a - 1 downto 1 do
-    let j = Splitmix.int g (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let permutation g n =
   let a = Array.init n (fun i -> i) in
-  shuffle g a;
+  Splitmix.shuffle g a;
   a
 
 let choice g a =

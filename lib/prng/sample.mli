@@ -1,10 +1,8 @@
 (** Sampling utilities built on {!Splitmix}. *)
 
-val shuffle : Splitmix.t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val permutation : Splitmix.t -> int -> int array
-(** [permutation g n] is a uniformly random permutation of [0..n-1]. *)
+(** [permutation g n] is a uniformly random permutation of [0..n-1]:
+    the identity, shuffled by {!Splitmix.shuffle}. *)
 
 val choice : Splitmix.t -> 'a array -> 'a
 (** Uniform element of a non-empty array.

@@ -87,6 +87,35 @@ let add_uniform g a c =
     Bytes.set_int64_ne g 0 !s
   end
 
+(* Monomorphic on purpose: over a generic array every read would test
+   for a float array and every write go through [caml_modify]. *)
+let shuffle g (a : int array) =
+  let s = ref (Bytes.get_int64_ne g 0) in
+  let mask = 0x3FFF_FFFF_FFFF_FFFF in
+  for i = Array.length a - 1 downto 1 do
+    let bound = i + 1 in
+    let j =
+      if bound land (bound - 1) = 0 then begin
+        s := Int64.add !s golden_gamma;
+        Int64.to_int (Int64.shift_right_logical (mix64 !s) 2) land (bound - 1)
+      end
+      else begin
+        let r = ref (-1) in
+        while !r < 0 do
+          s := Int64.add !s golden_gamma;
+          let v = Int64.to_int (Int64.shift_right_logical (mix64 !s) 2) land mask in
+          let x = v mod bound in
+          if v - x + (bound - 1) >= 0 then r := x
+        done;
+        !r
+      end
+    in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done;
+  Bytes.set_int64_ne g 0 !s
+
 let knuth_count g ~leaves l =
   let s = ref (Bytes.get_int64_ne g 0) in
   let k = ref 0 in

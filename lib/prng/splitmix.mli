@@ -37,6 +37,16 @@ val add_uniform : t -> int array -> int -> unit
     the batch, so the loop allocates nothing and costs no call per draw.
     @raise Invalid_argument if [c > 0] and [a] is empty. *)
 
+val shuffle : t -> int array -> unit
+(** [shuffle g a] shuffles [a] in place by Fisher–Yates: for [i] from
+    [Array.length a - 1] down to 1 it swaps [a.(i)] with
+    [a.(int g (i + 1))].  Draw for draw it is that loop over {!int}: the
+    same permutation, the power-of-two and the rejection paths
+    included, and the same generator state afterwards.  Like
+    {!add_uniform}, it keeps the state in a register for the whole pass
+    and allocates nothing.  To shuffle other values, shuffle an index
+    permutation and map through it. *)
+
 val knuth_count : t -> leaves:int -> float -> int
 (** [knuth_count g ~leaves l] is the sum of [leaves] independent counts
     by Knuth's product-of-uniforms method with threshold [l]: each

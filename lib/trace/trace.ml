@@ -52,7 +52,14 @@ let record ~graph ~balancer ~init ~steps =
   in
   (trace, result)
 
-let graph_of t = Graphs.Graph.of_edges ~n:t.n (Array.to_list t.edges)
+let graph_of t =
+  let ends = Array.make (2 * Array.length t.edges) 0 in
+  Array.iteri
+    (fun i (u, v) ->
+      ends.(2 * i) <- u;
+      ends.((2 * i) + 1) <- v)
+    t.edges;
+  Graphs.Graph.of_ends ~n:t.n ends
 
 let playback_balancer t =
   let dp = t.degree + t.self_loops in

@@ -222,6 +222,84 @@ let test_deterministic_generators_golden () =
       ("torus 256x256", Graphs.Gen.torus [ 256; 256 ], "a0eb6731748bdcd4235dafe3837e4d44");
       ("hypercube 10", Graphs.Gen.hypercube 10, "17eea85926a4832314394a1682e5620f");
       ("petersen", Graphs.Gen.petersen (), "5f65b370b790a2f6c3c24279352cd97a");
+      ("cycle 7", Graphs.Gen.cycle 7, "375a4b6f6f41647839693d9ccbe1ca89");
+      ("complete 6", Graphs.Gen.complete 6, "45792ffeba63b1218a3d7a0edff9302f");
+      ("complete_bipartite 4", Graphs.Gen.complete_bipartite 4, "ade79fe42de206aeabaec4341b644a8a");
+      ("circulant 12 [1; 3; 6]", Graphs.Gen.circulant 12 [ 1; 3; 6 ], "674a64105aa40fd8160b74bb7f4dd5a1");
+      ("clique_circulant n=10 d=5", Graphs.Gen.clique_circulant ~n:10 ~d:5, "a8dd1b6c8de9fdeb49ae793d51892669");
+      ("torus 3x4x5", Graphs.Gen.torus [ 3; 4; 5 ], "8d857973b0926d5850c661bb0312c1a6");
+      ("torus 16x16x16", Graphs.Gen.torus [ 16; 16; 16 ], "f8a0c1c7760cdf469bd8db059999b5c3");
+      ( "double cover of random_regular n=50 d=4 seed=5",
+        Graphs.Gen.bipartite_double_cover
+          (Graphs.Gen.random_regular (Prng.Splitmix.create 5) ~n:50 ~d:4),
+        "8c6f72b87c4a0dff2dedaeb5c65b4b64" );
+    ]
+
+(* The shuffle of [0 .. len-1], and the rng's next draw after it, which
+   pins the number of draws.  Fisher–Yates draws with bounds len down to
+   2, so length 2 takes only the power-of-two path and every length from
+   3 on the rejection-sampling path too (a draw that is actually
+   rejected is pinned in test_prng). *)
+let test_shuffle_golden () =
+  let show a = String.concat " " (List.map string_of_int (Array.to_list a)) in
+  List.iter
+    (fun (len, seed, expected, next) ->
+      let rng = Prng.Splitmix.create seed in
+      let a = Array.init len (fun i -> i) in
+      Prng.Splitmix.shuffle rng a;
+      let name = Printf.sprintf "shuffle len=%d seed=%d" len seed in
+      let got = if len <= 9 then show a else Digest.to_hex (Digest.string (show a)) in
+      Alcotest.(check string) name expected got;
+      Alcotest.(check int64) (name ^ " next draw") next (Prng.Splitmix.next64 rng))
+    [
+      (1, 31, "0", -8022752648205842259L);
+      (2, 32, "0 1", 1998892580777349955L);
+      (7, 33, "5 4 2 3 6 0 1", -3555975567565050050L);
+      (8, 34, "1 3 7 6 0 4 5 2", -9098490173232886872L);
+      (9, 35, "8 1 6 5 2 3 7 4 0", 4770961036587382747L);
+      (1000, 36, "1055b04c80b613a94c071515de87e483", 3907685078115013886L);
+    ]
+
+(* Dimension exchange on a seeded random 4-regular graph: the greedy
+   colouring, and the final loads and discrepancy series of the
+   random-matching and randomized-circuit modes, with each rng's next
+   draw, which pins the matchings' shuffles and the coins. *)
+let test_dimexch_golden () =
+  let g = Graphs.Gen.random_regular (Prng.Splitmix.create 41) ~n:30 ~d:4 in
+  let init = Core.Loads.point_mass ~n:30 ~total:1000 in
+  let digest parts = Digest.to_hex (Digest.string (String.concat " " parts)) in
+  let coloring =
+    Array.to_list (Baselines.Dimexch.edge_coloring g)
+    |> List.concat_map (fun cls ->
+           "|" :: List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) (Array.to_list cls))
+  in
+  Alcotest.(check string) "greedy colouring" "5eabf6a6bdf850d78253dbb5fa229272" (digest coloring);
+  List.iter
+    (fun (name, mode_of, seed, loads, series, next) ->
+      let rng = Prng.Splitmix.create seed in
+      let r = Baselines.Dimexch.run (mode_of rng) g ~init ~steps:25 in
+      check_loads (name ^ " final loads") loads r.Baselines.Dimexch.final_loads;
+      Alcotest.(check string) (name ^ " series") series
+        (digest
+           (List.map
+              (fun (t, d) -> Printf.sprintf "%d:%d" t d)
+              (Array.to_list r.Baselines.Dimexch.series)));
+      Alcotest.(check int64) (name ^ " next draw") next (Prng.Splitmix.next64 rng))
+    [
+      ( "random matching seed 42",
+        (fun rng -> Baselines.Dimexch.Random_matching rng),
+        42,
+        [| 38; 34; 28; 35; 37; 29; 34; 32; 36; 35; 34; 29; 32; 35; 33;
+           34; 38; 33; 33; 34; 32; 30; 28; 33; 37; 34; 33; 31; 31; 38 |],
+        "f82da0d2385bc83a4e8f3318c86b6603",
+        1830324114740587160L );
+      ( "randomized circuit seed 43",
+        (fun rng -> Baselines.Dimexch.Balancing_circuit_randomized rng),
+        43,
+        [| 36; 36; 30; 34; 37; 31; 34; 33; 36; 30; 32; 31; 33; 32; 35;
+           33; 34; 30; 33; 33; 35; 31; 31; 34; 35; 34; 34; 33; 34; 36 |],
+        "2443288530a7aa6a650b7b27c5ac99b9",
+        74395509103489794L );
     ]
 
 (* A small open system: Poisson arrivals at 90% of the service
@@ -358,6 +436,8 @@ let () =
           Alcotest.test_case "splitmix bool" `Quick test_splitmix_bool_golden;
           Alcotest.test_case "splitmix split/copy" `Quick
             test_splitmix_split_copy_golden;
+          Alcotest.test_case "shuffle" `Quick test_shuffle_golden;
+          Alcotest.test_case "dimension exchange" `Quick test_dimexch_golden;
         ] );
       ( "graph generators",
         [

@@ -54,6 +54,19 @@ let test_of_edges_errors () =
       (3, [ (0, 1) ], "Graph.of_edges: not regular (node 2 has degree 0, node 0 has 1)");
     ]
 
+(* [of_ends] is [of_edges]' validation and layout over a caller-filled
+   array, which the graph adopts; an odd length is its own error. *)
+let test_of_ends () =
+  let ends = [| 0; 1; 1; 2; 2; 0 |] in
+  let g = Graphs.Graph.of_ends ~n:3 ends in
+  let g' = Graphs.Graph.of_edges ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
+  Alcotest.(check (array int)) "adjacency" (Graphs.Graph.adjacency g') (Graphs.Graph.adjacency g);
+  Alcotest.(check (array (pair int int))) "edges" (Graphs.Graph.edges g') (Graphs.Graph.edges g);
+  Alcotest.check_raises "odd length" (Invalid_argument "Graph.of_edges: odd number of endpoints")
+    (fun () -> ignore (Graphs.Graph.of_ends ~n:3 [| 0; 1; 2 |]));
+  Alcotest.check_raises "self-edge" (Invalid_argument "Graph.of_edges: self-edges are not allowed")
+    (fun () -> ignore (Graphs.Graph.of_ends ~n:2 [| 1; 1 |]))
+
 (* Multigraphs whose parallel edges are interleaved with others and
    given in both orientations: the j-th copy of (u, v) at u pairs with
    the j-th copy at v.  Adjacency and reverse ports pinned literally. *)
@@ -363,6 +376,19 @@ let test_random_regular_allocation () =
   check_int "degree" 8 (Graphs.Graph.degree g);
   check_bool (Printf.sprintf "%.0f words allocated, budget 1.5 M" words) true (words <= 1.5e6)
 
+(* A deterministic generator writes its edge array in place: it
+   allocates the graph's arrays, which go straight to the major heap,
+   and a few words of scratch.  Consing the edges as a tuple list cost
+   786 k minor words here. *)
+let test_torus_minor_allocation () =
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  let g = Graphs.Gen.torus [ 256; 256 ] in
+  Gc.minor ();
+  let words = Gc.minor_words () -. before in
+  check_int "degree" 4 (Graphs.Graph.degree g);
+  check_bool (Printf.sprintf "%.0f minor words, budget 1000" words) true (words < 1000.0)
+
 let () =
   Alcotest.run "graphs"
     [
@@ -374,6 +400,7 @@ let () =
           Alcotest.test_case "rejects out of range" `Quick
             test_of_edges_rejects_out_of_range;
           Alcotest.test_case "of_edges errors" `Quick test_of_edges_errors;
+          Alcotest.test_case "of_ends" `Quick test_of_ends;
           Alcotest.test_case "multigraph reverse ports" `Quick
             test_multigraph_reverse_ports;
           Alcotest.test_case "reverse port involution" `Quick
@@ -402,6 +429,7 @@ let () =
             test_random_regular_rejects_odd;
           Alcotest.test_case "random regular allocation" `Quick
             test_random_regular_allocation;
+          Alcotest.test_case "torus minor allocation" `Quick test_torus_minor_allocation;
         ] );
       ( "props",
         [

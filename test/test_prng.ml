@@ -112,7 +112,7 @@ let test_bool_rate () =
 let test_shuffle_is_permutation () =
   let g = Prng.Splitmix.create 13 in
   let a = Array.init 100 (fun i -> i) in
-  Prng.Sample.shuffle g a;
+  Prng.Splitmix.shuffle g a;
   let sorted = Array.copy a in
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 100 (fun i -> i)) sorted
@@ -244,6 +244,33 @@ let prop_add_uniform_is_int_loop =
             [ 0; 1; 2; 3; 1 + Prng.Splitmix.int counts 4000 ])
         [ 1; 2; 4; 64; 4096; 3; 5; 7; 100; 1000; 4095 ])
 
+(* The Fisher–Yates loop over [int], written out. *)
+let shuffle_by_int g a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Prng.Splitmix.int g (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done
+
+(* [shuffle] against that loop on a copied generator: the same
+   permutation and the same generator state, for empty, power-of-two
+   and other lengths. *)
+let prop_shuffle_is_int_loop =
+  QCheck.Test.make ~name:"Splitmix.shuffle = int loop, array and state" ~count:20
+    QCheck.int
+    (fun seed ->
+      let g = Prng.Splitmix.create seed in
+      let g' = Prng.Splitmix.copy g in
+      List.for_all
+        (fun len ->
+          let a = Array.init len (fun i -> i) in
+          let b = Array.copy a in
+          Prng.Splitmix.shuffle g a;
+          shuffle_by_int g' b;
+          a = b && same_state g g')
+        [ 0; 1; 2; 3; 4; 7; 8; 9; 64; 100; 1000; 4095; 4096 ])
+
 (* SplitMix64's output function, inverted, so that a test can pick the
    draw a seed makes.  Each xorshift is undone by iterating it; each
    multiplication by the inverse of its odd constant mod 2^64. *)
@@ -315,6 +342,28 @@ let test_add_uniform_rejection () =
         (same_state g two))
     [ 3; 100; 1000; 4095 ]
 
+(* The rejection path of [shuffle]: from a seed whose first draw, with
+   bound [len], is rejected, the shuffle makes one extra draw and ends
+   as the written-out loop does. *)
+let test_shuffle_rejection () =
+  List.iter
+    (fun len ->
+      let seed = rejecting_seed len in
+      let g = Prng.Splitmix.create seed and g' = Prng.Splitmix.create seed in
+      let a = Array.init len (fun i -> i) in
+      let b = Array.copy a in
+      Prng.Splitmix.shuffle g a;
+      shuffle_by_int g' b;
+      Alcotest.(check (array int)) (Printf.sprintf "length %d: permutation" len) b a;
+      check_bool (Printf.sprintf "length %d: state" len) true (same_state g g');
+      let draws = Prng.Splitmix.create seed in
+      for _ = 1 to len do
+        ignore (Prng.Splitmix.next64 draws)
+      done;
+      check_bool (Printf.sprintf "length %d: %d draws for %d swaps" len len (len - 1)) true
+        (same_state g draws))
+    [ 3; 100; 1000; 4095 ]
+
 (* [knuth_count] against the product loop written out over [float g 1.0]
    on a copied generator: the same count and the same generator state,
    for 1 to 2^12 leaves at the thresholds of the largest (rate 30) and a
@@ -372,6 +421,7 @@ let () =
           Alcotest.test_case "int rejects bad bound" `Quick test_int_rejects_bad_bound;
           Alcotest.test_case "add_uniform rejection path" `Quick
             test_add_uniform_rejection;
+          Alcotest.test_case "shuffle rejection path" `Quick test_shuffle_rejection;
           Alcotest.test_case "int_in range" `Quick test_int_in_range;
           Alcotest.test_case "int uniformity" `Slow test_int_uniformity;
           Alcotest.test_case "float range" `Quick test_float_range;
@@ -397,6 +447,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_int_in_range;
           QCheck_alcotest.to_alcotest prop_int_pow2_is_rejection_loop;
           QCheck_alcotest.to_alcotest prop_add_uniform_is_int_loop;
+          QCheck_alcotest.to_alcotest prop_shuffle_is_int_loop;
           QCheck_alcotest.to_alcotest prop_knuth_count_is_product_loop;
           QCheck_alcotest.to_alcotest prop_split_conserves;
           QCheck_alcotest.to_alcotest prop_float_is_next64_scaled;
