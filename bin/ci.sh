@@ -91,8 +91,9 @@ echo "== kernel smoke: packed and int kernel paths match the generic loop =="
 # --audit forces the generic per-node loop.  point:4096 takes the packed
 # path, point:4294967296 the int fallback; the random 8-regular graph
 # with 8 self-loops is the closed-expander benchmark's family at small
-# n; complete:40 has d = 39, past the rotor window table's d <= 31, so
-# it has no kernel at all.  Each must print the audited run's
+# n; degrees 6 and 7 leave 2 and 3 ports after the kernel's groups of
+# four; complete:40 has d = 39, past the rotor window table's d <= 31,
+# so it has no kernel at all.  Each must print the audited run's
 # "final disc:" line.
 kernel_smoke() {
   fast=$(dune exec bin/lb_sim.exe -- "$@" --algo rotor-router --steps 200 \
@@ -107,6 +108,8 @@ kernel_smoke() {
 kernel_smoke --graph torus:16x16 --init point:4096
 kernel_smoke --graph torus:16x16 --init point:4294967296
 kernel_smoke --graph random:4096,8,7 --self-loops 8 --init point:65536
+kernel_smoke --graph random:4096,6,7 --self-loops 6 --init point:65536
+kernel_smoke --graph random:4096,7,7 --self-loops 1 --init point:4096
 kernel_smoke --graph complete:40 --init point:4096
 
 echo "== net smoke: lossy runs replay identically under one --net-seed =="

@@ -28,24 +28,29 @@ let edge_coloring g =
       if !c + 1 > !used_colors then used_colors := !c + 1);
   Array.init !used_colors (fun c -> Array.of_list classes.(c))
 
-(* The edges in a random order: a shuffled index permutation, mapped
-   through the edge array (the same draws shuffle both alike). *)
-let random_maximal_matching rng g =
-  let n = Graphs.Graph.n g in
-  let edges = Graphs.Graph.edges g in
-  let order = Prng.Sample.permutation rng (Array.length edges) in
-  let matched = Array.make n false in
-  let out = ref [] in
-  Array.iter
-    (fun e ->
-      let u, v = edges.(e) in
-      if (not matched.(u)) && not matched.(v) then begin
-        matched.(u) <- true;
-        matched.(v) <- true;
-        out := (u, v) :: !out
-      end)
-    order;
-  Array.of_list !out
+(* A maximal matching grown greedily over the edges in a random order,
+   written into [pairs] as u₀ v₀ u₁ v₁ …; returns the pair count.
+   [order] is reset to the identity and shuffled in place, which draws
+   what [Prng.Sample.permutation] would, and [matched] is cleared, so a
+   round allocates nothing. *)
+let random_maximal_matching rng ~edges ~order ~matched ~pairs =
+  for i = 0 to Array.length order - 1 do
+    order.(i) <- i
+  done;
+  Prng.Splitmix.shuffle rng order;
+  Array.fill matched 0 (Array.length matched) false;
+  let count = ref 0 in
+  for i = 0 to Array.length order - 1 do
+    let u, v = edges.(order.(i)) in
+    if (not matched.(u)) && not matched.(v) then begin
+      matched.(u) <- true;
+      matched.(v) <- true;
+      pairs.(2 * !count) <- u;
+      pairs.((2 * !count) + 1) <- v;
+      incr count
+    end
+  done;
+  !count
 
 let balance_pair ~excess_to_u loads u v =
   let tot = loads.(u) + loads.(v) in
@@ -79,6 +84,14 @@ let run ?(sample_every = 1) ?stop_at_discrepancy mode g ~init ~steps =
     | Balancing_circuit | Balancing_circuit_randomized _ -> edge_coloring g
     | Random_matching _ -> [||]
   in
+  (* The random matching's buffers, made once per run. *)
+  let edges, order, matched, pairs =
+    match mode with
+    | Random_matching _ ->
+      let edges = Graphs.Graph.edges g in
+      (edges, Array.make (Array.length edges) 0, Array.make n false, Array.make n 0)
+    | Balancing_circuit | Balancing_circuit_randomized _ -> ([||], [||], [||], [||])
+  in
   let series = ref [ (0, scan_discrepancy loads) ] in
   let reached = ref None in
   (match stop_at_discrepancy with
@@ -90,11 +103,13 @@ let run ?(sample_every = 1) ?stop_at_discrepancy mode g ~init ~steps =
        if !reached <> None && stop_at_discrepancy <> None then raise Exit;
        (match mode with
         | Random_matching rng ->
-          let matching = random_maximal_matching rng g in
-          Array.iter
-            (fun (u, v) ->
-              balance_pair ~excess_to_u:(Prng.Splitmix.bool rng) loads u v)
-            matching
+          let count = random_maximal_matching rng ~edges ~order ~matched ~pairs in
+          (* Last pair found first: each pair draws one coin, and the
+             goldens fix which pair draws which. *)
+          for i = count - 1 downto 0 do
+            balance_pair ~excess_to_u:(Prng.Splitmix.bool rng) loads pairs.(2 * i)
+              pairs.((2 * i) + 1)
+          done
         | Balancing_circuit ->
           let matching = circuit.((t - 1) mod Array.length circuit) in
           Array.iter

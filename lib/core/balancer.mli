@@ -52,13 +52,18 @@ type kernel = {
       updates and the same exceptions, at the same node — and adds the
       resulting sends to [next.(adj.(u·d + k))] and the kept tokens to
       [next.(u)].  [next] holds zeros on entry.  Returns the tokens sent
-      over original ports. *)
+      over original ports.  Raises [Invalid_argument] before any state
+      changes when [cur] or [adj] does not have the shape of the graph
+      the balancer was made for. *)
   round_packed : step:int -> adj:int array -> int array -> Acc32.t -> int;
   (** [round_packed ~step ~adj cur acc] is [round] with [acc] as the
       scatter target: a zeroed {!Acc32} accumulator with one 32-bit slot
       per node of [cur], where [adj] is that graph's adjacency (slots
       are written unchecked).  The state updates, exceptions and return
-      value are [round]'s; the two differ only in where they add.
+      value are [round]'s, and so is the shape check, which here also
+      raises [Invalid_argument], before any state changes, when [acc]
+      has fewer slots than [cur] has nodes; the two differ only in
+      where they add.
       {!Engine.run} calls it only in a round where no load of [cur] is
       negative and their total is at most {!Acc32.max_slot}, so no slot
       can overflow, and drains [acc] back to zeros after it.

@@ -110,57 +110,126 @@ let make ?order ?init_rotor g ~self_loops =
          at the small loads of an open system the extra token is a coin
          flip, and a branch on it mispredicts.  The rotor wraps without
          one: r' = r + e - d⁺ ∈ (-d⁺, d⁺), and on 63-bit ints [r' asr 62]
-         is -1 or 0.  Shift counts are constants, as the [lsl 2] slot
-         offset is: port k reads bit 0 of t shifted right k times. *)
+         is -1 or 0.  Nor does the quotient branch on the data below
+         2·d⁺, where loads sit in a balanced round: there
+         1 + ((x - d⁺) asr 62) is 0 or 1, and only a larger load pays
+         for a division.  Ports go four at a time with constant shift
+         counts, as the [lsl 2] slot offset has: port 4g + j reads bit j
+         of the entry shifted right 4g times.  A plain loop takes the
+         d mod 4 ports left over. *)
+      let d4 = d land lnot 3 in
+      (* One shape check per round.  It raises before any rotor moves,
+         and after it every index into [cur], [rotor] and [adj] below is
+         in bounds, so those accesses skip their own checks; the [win]
+         lookup and the adds into [next] keep theirs. *)
+      let check_shape ~adj cur =
+        let n = Array.length cur in
+        if Array.length rotor <> n || Array.length adj <> n * d then
+          invalid_arg "Rotor_router: kernel round on loads or an adjacency of another graph";
+        n
+      in
+      (* A node with no load takes the general path too: q = e = 0, an
+         empty window and an unchanged rotor, so no round pays a branch
+         on whether a node is empty. *)
       let round ~step:_ ~adj cur next =
+        let n = check_shape ~adj cur in
         let moved = ref 0 in
-        for u = 0 to Array.length cur - 1 do
-          let x = cur.(u) in
-          if x > 0 then begin
-            (* A load below d⁺ needs no division. *)
-            let q = if x < dp then 0 else x / dp in
-            let e = x - (q * dp) in
-            let r = rotor.(u) in
-            let t = win.((r * dp) + e) in
-            let sent = (q * d) + (t lsr 32) in
-            let base = u * d and m = ref t in
-            for k = 0 to d - 1 do
-              let v = adj.(base + k) in
-              next.(v) <- next.(v) + q + (!m land 1);
-              m := !m lsr 1
-            done;
-            let r' = r + e - dp in
-            rotor.(u) <- r' + (dp land (r' asr 62));
-            moved := !moved + sent;
-            next.(u) <- next.(u) + x - sent
-          end
-          else if x < 0 then negative_load ()
+        for u = 0 to n - 1 do
+          (* u < n = length cur *)
+          let x = Array.unsafe_get cur u in
+          if x < 0 then negative_load ();
+          let q = if x < 2 * dp then 1 + ((x - dp) asr 62) else x / dp in
+          let e = x - (q * dp) in
+          (* u < n = length rotor *)
+          let r = Array.unsafe_get rotor u in
+          let t = win.((r * dp) + e) in
+          let sent = (q * d) + (t lsr 32) in
+          let base = u * d in
+          let stop = base + d4 and k = ref base and m = ref t in
+          while !k < stop do
+            let k0 = !k and t = !m in
+            (* k0 + 3 < base + d <= n·d = length adj *)
+            let v = Array.unsafe_get adj k0 in
+            next.(v) <- next.(v) + q + (t land 1);
+            (* k0 + 1 < length adj, as above *)
+            let v = Array.unsafe_get adj (k0 + 1) in
+            next.(v) <- next.(v) + q + ((t lsr 1) land 1);
+            (* k0 + 2 < length adj, as above *)
+            let v = Array.unsafe_get adj (k0 + 2) in
+            next.(v) <- next.(v) + q + ((t lsr 2) land 1);
+            (* k0 + 3 < length adj, as above *)
+            let v = Array.unsafe_get adj (k0 + 3) in
+            next.(v) <- next.(v) + q + ((t lsr 3) land 1);
+            k := k0 + 4;
+            m := t lsr 4
+          done;
+          for k = stop to base + d - 1 do
+            (* k < base + d <= n·d = length adj *)
+            let v = Array.unsafe_get adj k in
+            next.(v) <- next.(v) + q + (!m land 1);
+            m := !m lsr 1
+          done;
+          let r' = r + e - dp in
+          (* u < n = length rotor *)
+          Array.unsafe_set rotor u (r' + (dp land (r' asr 62)));
+          moved := !moved + sent;
+          next.(u) <- next.(u) + x - sent
         done;
         !moved
       in
-      (* [round] with the two adds into [next] made into [acc]'s 32-bit
+      (* [round] with the adds into [next] made into [acc]'s 32-bit
          slots instead.  Copied rather than shared through a scatter
-         closure, which would cost a call per port. *)
+         closure, which would cost a call per port.  This copy keeps a
+         branch on x > 0: [Engine.run] packs only rounds with no
+         negative load, so the branch is never taken the other way
+         once loads have spread, and in the first rounds after a point
+         mass, when most nodes are empty, it skips their d adds. *)
       let round_packed ~step:_ ~adj cur acc =
+        let n = check_shape ~adj cur in
+        if Acc32.length acc < n then
+          invalid_arg "Rotor_router: kernel round into an accumulator with too few slots";
         let moved = ref 0 in
-        for u = 0 to Array.length cur - 1 do
-          let x = cur.(u) in
+        for u = 0 to n - 1 do
+          (* u < n = length cur *)
+          let x = Array.unsafe_get cur u in
           if x > 0 then begin
-            (* A load below d⁺ needs no division. *)
-            let q = if x < dp then 0 else x / dp in
+            let q = if x < 2 * dp then 1 + ((x - dp) asr 62) else x / dp in
             let e = x - (q * dp) in
-            let r = rotor.(u) in
+            (* u < n = length rotor *)
+            let r = Array.unsafe_get rotor u in
             let t = win.((r * dp) + e) in
             let sent = (q * d) + (t lsr 32) in
-            let base = u * d and m = ref t in
-            for k = 0 to d - 1 do
-              let o = adj.(base + k) lsl 2 in
-              let s = q + (!m land 1) in
-              m := !m lsr 1;
-              Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int s))
+            let base = u * d in
+            let stop = base + d4 and k = ref base and m = ref t in
+            while !k < stop do
+              let k0 = !k and t = !m in
+              (* k0 + 3 < base + d <= n·d = length adj *)
+              let o = Array.unsafe_get adj k0 lsl 2 in
+              Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int (q + (t land 1))));
+              (* k0 + 1 < length adj, as above *)
+              let o = Array.unsafe_get adj (k0 + 1) lsl 2 in
+              Acc32.set acc o
+                (Int32.add (Acc32.get acc o) (Int32.of_int (q + ((t lsr 1) land 1))));
+              (* k0 + 2 < length adj, as above *)
+              let o = Array.unsafe_get adj (k0 + 2) lsl 2 in
+              Acc32.set acc o
+                (Int32.add (Acc32.get acc o) (Int32.of_int (q + ((t lsr 2) land 1))));
+              (* k0 + 3 < length adj, as above *)
+              let o = Array.unsafe_get adj (k0 + 3) lsl 2 in
+              Acc32.set acc o
+                (Int32.add (Acc32.get acc o) (Int32.of_int (q + ((t lsr 3) land 1))));
+              k := k0 + 4;
+              m := t lsr 4
+            done;
+            for k = stop to base + d - 1 do
+              (* k < base + d <= n·d = length adj *)
+              let o = Array.unsafe_get adj k lsl 2 in
+              Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int (q + (!m land 1))));
+              m := !m lsr 1
             done;
             let r' = r + e - dp in
-            rotor.(u) <- r' + (dp land (r' asr 62));
+            (* u < n = length rotor *)
+            Array.unsafe_set rotor u (r' + (dp land (r' asr 62)));
             moved := !moved + sent;
             let o = u lsl 2 in
             Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int (x - sent)))

@@ -46,8 +46,13 @@ val make :
     and their count.  Per node it makes one lookup, sends
     q + (bit k) on original port k, and keeps x − (q·d + count).
     Its [round] and [round_packed] are one loop written twice,
-    differing only in their two adds (into an int vector and into
-    {!Acc32} slots).  The kernel exists only for d ≤ 31 and d⁺ ≤ 64,
+    differing only in their adds (into an int vector and into {!Acc32}
+    slots) and in [round_packed]'s skip of empty nodes.  Each checks
+    the shapes once per round, before any rotor moves, and raises
+    [Invalid_argument] when the loads are not one per node of [g], the
+    adjacency is not n·d long, or [round_packed]'s accumulator has
+    fewer than n slots; past that check, the loop's reads of the
+    loads, the rotors and the adjacency are unchecked.  The kernel exists only for d ≤ 31 and d⁺ ≤ 64,
     so the table holds at most 4096 ints; a wider shape, like a custom
     [order], whose tables would cost n·d⁺² more ints, gets no kernel
     and keeps the generic path.

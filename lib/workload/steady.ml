@@ -63,11 +63,51 @@ let int_percentile ~min ~max xs p =
     done
   end
   else begin
-    (* Wide range: sort an integer copy. *)
-    let c = Array.copy xs in
-    Array.sort Int.compare c;
-    a := c.(lo);
-    b := c.(hi)
+    (* Wide range: radix select of the order statistic at [lo] on the
+       offsets x − min, a byte a pass from the top, into one 256-slot
+       histogram; [xs] is never copied.  An offset wraps mod 2⁶³ and
+       its bits read as unsigned, so an overflowing max − min orders
+       right too.  The first pass takes the top byte of max − min (the
+       7 bits at shift 56 when that overflows), so every offset shares
+       the empty prefix above it. *)
+    let count = Array.make 256 0 in
+    let s = ref 56 in
+    if range >= 0 then
+      while !s > 0 && range lsr !s = 0 do
+        s := !s - 8
+      done;
+    let prefix = ref 0 and k = ref lo and last = ref 0 in
+    while !s >= 0 do
+      let sh = !s in
+      Array.fill count 0 256 0;
+      for u = 0 to n - 1 do
+        let key = xs.(u) - min in
+        if sh = 56 || key lsr (sh + 8) = !prefix then begin
+          let g = (key lsr sh) land 255 in
+          count.(g) <- count.(g) + 1
+        end
+      done;
+      let g = ref 0 in
+      while !k >= count.(!g) do
+        k := !k - count.(!g);
+        incr g
+      done;
+      prefix := (!prefix lsl 8) lor !g;
+      last := count.(!g);
+      s := sh - 8
+    done;
+    a := !prefix + min;
+    (* The [last] values equal to [a] hold ranks lo − k to
+       lo − k + last − 1; past them, [b] is the next larger value. *)
+    if !k + 1 < !last || hi = lo then b := !a
+    else begin
+      let next = ref max_int in
+      for u = 0 to n - 1 do
+        let x = xs.(u) in
+        if x > !a && x < !next then next := x
+      done;
+      b := !next
+    end
   end;
   interpolate n p (float_of_int !a) (float_of_int !b)
 

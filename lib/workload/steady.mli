@@ -32,7 +32,9 @@ val int_percentile : min:int -> max:int -> int array -> float -> float
     bit for bit, without boxing a float per element.  [min] and [max]
     must be the sample's minimum and maximum.  When max − min < n it
     makes one counting pass (its only allocation is a
-    (max − min + 1)-slot array); otherwise it sorts an integer copy.
+    (max − min + 1)-slot array); otherwise it selects the two order
+    statistics it needs by radix select, a byte a pass over [xs], into
+    one 256-slot histogram, without copying or sorting [xs].
     @raise Invalid_argument on an empty sample. *)
 
 val summarize : float array -> summary

@@ -92,6 +92,31 @@ let test_series_monotone_under_circuit () =
       prev := d)
     r.Baselines.Dimexch.series
 
+(* A random-matching round reads the edge array and reuses its buffers
+   instead of building them again: on torus 64×64, ten rounds more cost
+   at most 10,000 more words.  Settle the GC first, so that a major
+   slice in the window cannot bill earlier allocations to it, and empty
+   the minor heap before reading: OCaml 5.1 undercounts the words still
+   in it. *)
+let test_random_matching_allocation () =
+  let g = Graphs.Gen.torus [ 64; 64 ] in
+  let n = Graphs.Graph.n g in
+  let init = Core.Loads.point_mass ~n ~total:(100 * n) in
+  let words steps =
+    let mode = Baselines.Dimexch.Random_matching (Prng.Splitmix.create 3) in
+    Gc.full_major ();
+    let before = Gc.allocated_bytes () in
+    let r = Baselines.Dimexch.run mode g ~init ~steps in
+    Gc.minor ();
+    let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+    check_int "mass" (100 * n) (Core.Loads.total r.Baselines.Dimexch.final_loads);
+    words
+  in
+  let per_round = (words 12 -. words 2) /. 10.0 in
+  check_bool
+    (Printf.sprintf "%.0f words a round, budget 1000" per_round)
+    true (per_round <= 1000.0)
+
 let prop_pair_balance_conserves =
   QCheck.Test.make ~name:"matching steps conserve mass on random inputs" ~count:50
     QCheck.(pair (int_range 2 5) (int_range 0 2000))
@@ -122,6 +147,8 @@ let () =
           Alcotest.test_case "random matching conserves" `Quick
             test_random_matching_conserves;
           Alcotest.test_case "random matching balances" `Quick test_random_matching_balances;
+          Alcotest.test_case "random matching allocation" `Quick
+            test_random_matching_allocation;
           Alcotest.test_case "stop at discrepancy" `Quick test_stop_at_discrepancy;
           Alcotest.test_case "series monotone" `Quick test_series_monotone_under_circuit;
         ] );

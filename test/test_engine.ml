@@ -504,7 +504,8 @@ let test_broken_kernel_caught () =
     (outcome ~per_node:big conserve)
 
 (* A random instance for the differential property: a random regular
-   graph or a torus, d° in [0, 2d], random initial rotors, and loads
+   graph of degree 3 to 9, up to two groups of four ports and a leftover,
+   or a torus, d° in [0, 2d], random initial rotors, and loads
    mixing 0, below d⁺, multiples of d⁺ and at least 5·d⁺. *)
 let rotor_instance seed =
   let rng = Prng.Splitmix.create seed in
@@ -512,7 +513,7 @@ let rotor_instance seed =
     if Prng.Splitmix.bool rng then
       Graphs.Gen.torus [ Prng.Splitmix.int_in rng 3 7; Prng.Splitmix.int_in rng 3 7 ]
     else
-      let d = Prng.Splitmix.int_in rng 3 6 in
+      let d = Prng.Splitmix.int_in rng 3 9 in
       let n = 2 * Prng.Splitmix.int_in rng (d / 2 + 2) 20 in
       Graphs.Gen.random_regular rng ~n ~d
   in
@@ -542,10 +543,12 @@ let rotor_state b =
   | None -> Alcotest.fail "rotor-router without persistence"
 
 (* Every single-node round of both kernel variants against [assign]'s
-   ports, for d⁺ ∈ {2, 3, 8, 16} with d° ∈ {0, d}, and for d = 31 with
-   d⁺ = 64, the largest window table: every rotor r < d⁺ and every load
-   x < 3·d⁺, checking the send on each original port, the kept tokens,
-   the moved count and the new rotor.  Node 0 of the complete graph
+   ports, for d⁺ ∈ {2, 3, 8, 16} with d° ∈ {0, d}, for d ∈ {5, 6, 7},
+   which leave 1, 2 and 3 ports after a group of four, and for d = 31
+   with d⁺ = 64, the largest window table: every rotor r < d⁺ and every
+   load x < 3·d⁺, across both bounds of the division-free quotient at
+   d⁺ and 2·d⁺, checking the send on each original port, the kept
+   tokens, the moved count and the new rotor.  Node 0 of the complete graph
    K_{d+1} reaches every other node by its own port, so each port's send
    is one entry of the scatter target.  This pins every (rotor, excess)
    entry of the table and the rotor wrap at every boundary, which
@@ -587,8 +590,35 @@ let test_kernel_table () =
               (Array.init n slot, moved))
         done
       done)
-    [ (2, 0); (1, 1); (3, 0); (8, 0); (4, 4); (16, 0); (8, 8); (31, 33) ];
+    [ (2, 0); (1, 1); (3, 0); (8, 0); (4, 4); (5, 3); (6, 0); (7, 7); (16, 0); (8, 8); (31, 33) ];
   Alcotest.(check (list string)) "rounds that differ from assign" [] (List.rev !failures)
+
+(* Loads, an adjacency or an accumulator of another shape are refused
+   with [Invalid_argument] before any rotor moves, by both variants: the
+   kernel's one shape check per round is what lets its reads of the
+   loads, the rotors and the adjacency go unchecked. *)
+let test_kernel_shape_check () =
+  let g = Graphs.Gen.torus [ 4; 4 ] in
+  let n = Graphs.Graph.n g and adj = Graphs.Graph.adjacency g in
+  let other = Graphs.Graph.adjacency (Graphs.Gen.torus [ 4; 5 ]) in
+  let loads n = Array.init n (fun u -> 3 + (5 * u mod 11)) in
+  let refused label run =
+    let b = Core.Rotor_router.make g ~self_loops:4 ~init_rotor:(fun u -> u mod 8) in
+    let before = rotor_state b in
+    (match run (kernel_of b) with
+     | _ -> Alcotest.failf "%s: not refused" label
+     | exception Invalid_argument _ -> ());
+    check_bool (label ^ ": rotors unchanged") true (rotor_state b = before)
+  in
+  let round ~adj cur k = k.Core.Balancer.round ~step:1 ~adj cur (Array.make n 0) in
+  let packed ~adj ~slots cur k =
+    k.Core.Balancer.round_packed ~step:1 ~adj cur (Core.Acc32.create slots)
+  in
+  refused "round, n - 1 loads" (round ~adj (loads (n - 1)));
+  refused "round, another graph's adjacency" (round ~adj:other (loads n));
+  refused "round_packed, n - 1 loads" (packed ~adj ~slots:n (loads (n - 1)));
+  refused "round_packed, another graph's adjacency" (packed ~adj:other ~slots:20 (loads n));
+  refused "round_packed, n - 1 slots" (packed ~adj ~slots:(n - 1) (loads n))
 
 (* What a run leaves, for comparing the kernel's paths with the
    Tap-forced generic one. *)
@@ -770,6 +800,7 @@ let () =
       ( "rotor kernel",
         [
           Alcotest.test_case "single-node table against assign" `Quick test_kernel_table;
+          Alcotest.test_case "shape check" `Quick test_kernel_shape_check;
           Alcotest.test_case "broken kernel caught in round 1" `Quick
             test_broken_kernel_caught;
           Alcotest.test_case "no kernel past the table's limits" `Quick

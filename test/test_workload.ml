@@ -371,12 +371,13 @@ let prop_replay_bit_identical =
 (* Integer samples of every shape the per-round p99 meets, each paired
    with a percentile.  Shape 0 keeps max − min < n (the counting pass);
    shapes 1 and 2 spread wider than n (the selection fallback, on random
-   and on sorted or reversed input); then n = 1, all-equal loads, and
-   the empty system (all zeros, or a zero total from negative loads). *)
+   and on sorted or reversed input); then n = 1, all-equal loads, the
+   empty system (all zeros, or a zero total from negative loads), and
+   values near both ends of the int range, whose max − min overflows. *)
 let int_sample =
   let open QCheck.Gen in
   let sample =
-    pair (int_range 0 6) (int_range 1 200) >>= fun (shape, n) ->
+    pair (int_range 0 7) (int_range 1 200) >>= fun (shape, n) ->
     match shape with
     | 0 ->
       int_range (-50) 50 >>= fun base ->
@@ -389,6 +390,14 @@ let int_sample =
     | 3 -> int_range (-5) 1000 >|= fun x -> [| x |]
     | 4 -> int_range (-5) 1000 >|= fun x -> Array.make n x
     | 5 -> return (Array.make n 0)
+    | 6 ->
+      array_repeat n
+        (oneof
+           [
+             int_range min_int (min_int + 99);
+             int_range (max_int - 99) max_int;
+             int_range (-9) 9;
+           ])
     | _ -> int_range 0 100 >|= fun x -> [| x; -x |]
   in
   let p = oneof [ oneofl [ 0.0; 1.0; 50.0; 95.0; 99.0; 99.9; 100.0 ]; float_range 0.0 100.0 ] in
@@ -431,7 +440,10 @@ let test_int_percentile_edges () =
   Alcotest.(check (float 0.0)) "p90 of 1..5" 4.6 (int_pct [| 5; 3; 1; 4; 2 |] 90.0);
   Alcotest.(check (float 0.0))
     "p90 of a wide sample" 4.6e12
-    (int_pct [| 5_000_000_000_000; 3; 1; 4_000_000_000_000; 2 |] 90.0)
+    (int_pct [| 5_000_000_000_000; 3; 1; 4_000_000_000_000; 2 |] 90.0);
+  Alcotest.(check (float 0.0))
+    "p50 across a max - min that overflows" 0.0
+    (int_pct [| max_int; 0; min_int |] 50.0)
 
 (* Poisson arrivals at 90% of a µ = 2 capacity on 2^12 nodes, about
    7400 uniforms a round: drawing them must not box a float each. *)
