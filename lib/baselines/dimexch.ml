@@ -30,14 +30,10 @@ let edge_coloring g =
 
 (* A maximal matching grown greedily over the edges in a random order,
    written into [pairs] as u₀ v₀ u₁ v₁ …; returns the pair count.
-   [order] is reset to the identity and shuffled in place, which draws
-   what [Prng.Sample.permutation] would, and [matched] is cleared, so a
-   round allocates nothing. *)
+   [order] is refilled with a random permutation in place and [matched]
+   is cleared, so a round allocates nothing. *)
 let random_maximal_matching rng ~edges ~order ~matched ~pairs =
-  for i = 0 to Array.length order - 1 do
-    order.(i) <- i
-  done;
-  Prng.Splitmix.shuffle rng order;
+  Prng.Splitmix.fill_permutation rng order;
   Array.fill matched 0 (Array.length matched) false;
   let count = ref 0 in
   for i = 0 to Array.length order - 1 do

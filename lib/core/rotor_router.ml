@@ -106,11 +106,11 @@ let make ?order ?init_rotor g ~self_loops =
           win.((r * dp) + e) <- (if k < d then w + (1 lsl k) + (1 lsl 32) else w)
         done
       done;
-      (* Every original port is scattered, a zero send as a zero add:
-         at the small loads of an open system the extra token is a coin
-         flip, and a branch on it mispredicts.  The rotor wraps without
-         one: r' = r + e - d⁺ ∈ (-d⁺, d⁺), and on 63-bit ints [r' asr 62]
-         is -1 or 0.  Nor does the quotient branch on the data below
+      (* Every original port of a loaded node is scattered, a zero send
+         as a zero add: at the small loads of an open system the extra
+         token is a coin flip, and a branch on it mispredicts.  The rotor
+         wraps without one: r' = r + e - d⁺ ∈ (-d⁺, d⁺), and on 63-bit
+         ints [r' asr 62] is -1 or 0.  Nor does the quotient branch on the data below
          2·d⁺, where loads sit in a balanced round: there
          1 + ((x - d⁺) asr 62) is 0 or 1, and only a larger load pays
          for a division.  Ports go four at a time with constant shift
@@ -128,62 +128,59 @@ let make ?order ?init_rotor g ~self_loops =
           invalid_arg "Rotor_router: kernel round on loads or an adjacency of another graph";
         n
       in
-      (* A node with no load takes the general path too: q = e = 0, an
-         empty window and an unchanged rotor, so no round pays a branch
-         on whether a node is empty. *)
+      (* An empty node is skipped, so the first rounds after a point
+         mass, when most nodes are empty, skip their d adds. *)
       let round ~step:_ ~adj cur next =
         let n = check_shape ~adj cur in
         let moved = ref 0 in
         for u = 0 to n - 1 do
           (* u < n = length cur *)
           let x = Array.unsafe_get cur u in
-          if x < 0 then negative_load ();
-          let q = if x < 2 * dp then 1 + ((x - dp) asr 62) else x / dp in
-          let e = x - (q * dp) in
-          (* u < n = length rotor *)
-          let r = Array.unsafe_get rotor u in
-          let t = win.((r * dp) + e) in
-          let sent = (q * d) + (t lsr 32) in
-          let base = u * d in
-          let stop = base + d4 and k = ref base and m = ref t in
-          while !k < stop do
-            let k0 = !k and t = !m in
-            (* k0 + 3 < base + d <= n·d = length adj *)
-            let v = Array.unsafe_get adj k0 in
-            next.(v) <- next.(v) + q + (t land 1);
-            (* k0 + 1 < length adj, as above *)
-            let v = Array.unsafe_get adj (k0 + 1) in
-            next.(v) <- next.(v) + q + ((t lsr 1) land 1);
-            (* k0 + 2 < length adj, as above *)
-            let v = Array.unsafe_get adj (k0 + 2) in
-            next.(v) <- next.(v) + q + ((t lsr 2) land 1);
-            (* k0 + 3 < length adj, as above *)
-            let v = Array.unsafe_get adj (k0 + 3) in
-            next.(v) <- next.(v) + q + ((t lsr 3) land 1);
-            k := k0 + 4;
-            m := t lsr 4
-          done;
-          for k = stop to base + d - 1 do
-            (* k < base + d <= n·d = length adj *)
-            let v = Array.unsafe_get adj k in
-            next.(v) <- next.(v) + q + (!m land 1);
-            m := !m lsr 1
-          done;
-          let r' = r + e - dp in
-          (* u < n = length rotor *)
-          Array.unsafe_set rotor u (r' + (dp land (r' asr 62)));
-          moved := !moved + sent;
-          next.(u) <- next.(u) + x - sent
+          if x > 0 then begin
+            let q = if x < 2 * dp then 1 + ((x - dp) asr 62) else x / dp in
+            let e = x - (q * dp) in
+            (* u < n = length rotor *)
+            let r = Array.unsafe_get rotor u in
+            let t = win.((r * dp) + e) in
+            let sent = (q * d) + (t lsr 32) in
+            let base = u * d in
+            let stop = base + d4 and k = ref base and m = ref t in
+            while !k < stop do
+              let k0 = !k and t = !m in
+              (* k0 + 3 < base + d <= n·d = length adj *)
+              let v = Array.unsafe_get adj k0 in
+              next.(v) <- next.(v) + q + (t land 1);
+              (* k0 + 1 < length adj, as above *)
+              let v = Array.unsafe_get adj (k0 + 1) in
+              next.(v) <- next.(v) + q + ((t lsr 1) land 1);
+              (* k0 + 2 < length adj, as above *)
+              let v = Array.unsafe_get adj (k0 + 2) in
+              next.(v) <- next.(v) + q + ((t lsr 2) land 1);
+              (* k0 + 3 < length adj, as above *)
+              let v = Array.unsafe_get adj (k0 + 3) in
+              next.(v) <- next.(v) + q + ((t lsr 3) land 1);
+              k := k0 + 4;
+              m := t lsr 4
+            done;
+            for k = stop to base + d - 1 do
+              (* k < base + d <= n·d = length adj *)
+              let v = Array.unsafe_get adj k in
+              next.(v) <- next.(v) + q + (!m land 1);
+              m := !m lsr 1
+            done;
+            let r' = r + e - dp in
+            (* u < n = length rotor *)
+            Array.unsafe_set rotor u (r' + (dp land (r' asr 62)));
+            moved := !moved + sent;
+            next.(u) <- next.(u) + x - sent
+          end
+          else if x < 0 then negative_load ()
         done;
         !moved
       in
       (* [round] with the adds into [next] made into [acc]'s 32-bit
          slots instead.  Copied rather than shared through a scatter
-         closure, which would cost a call per port.  This copy keeps a
-         branch on x > 0: [Engine.run] packs only rounds with no
-         negative load, so the branch is never taken the other way
-         once loads have spread, and in the first rounds after a point
-         mass, when most nodes are empty, it skips their d adds. *)
+         closure, which would cost a call per port. *)
       let round_packed ~step:_ ~adj cur acc =
         let n = check_shape ~adj cur in
         if Acc32.length acc < n then

@@ -47,7 +47,7 @@ val make :
     q + (bit k) on original port k, and keeps x − (q·d + count).
     Its [round] and [round_packed] are one loop written twice,
     differing only in their adds (into an int vector and into {!Acc32}
-    slots) and in [round_packed]'s skip of empty nodes.  Each checks
+    slots); both skip empty nodes.  Each checks
     the shapes once per round, before any rotor moves, and raises
     [Invalid_argument] when the loads are not one per node of [g], the
     adjacency is not n·d long, or [round_packed]'s accumulator has

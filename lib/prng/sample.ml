@@ -1,8 +1,3 @@
-let permutation g n =
-  let a = Array.init n (fun i -> i) in
-  Splitmix.shuffle g a;
-  a
-
 let choice g a =
   if Array.length a = 0 then invalid_arg "Sample.choice: empty array";
   a.(Splitmix.int g (Array.length a))

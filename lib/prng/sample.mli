@@ -1,9 +1,5 @@
 (** Sampling utilities built on {!Splitmix}. *)
 
-val permutation : Splitmix.t -> int -> int array
-(** [permutation g n] is a uniformly random permutation of [0..n-1]:
-    the identity, shuffled by {!Splitmix.shuffle}. *)
-
 val choice : Splitmix.t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on an empty array. *)

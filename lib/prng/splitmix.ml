@@ -116,6 +116,12 @@ let shuffle g (a : int array) =
   done;
   Bytes.set_int64_ne g 0 !s
 
+let fill_permutation g a =
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- i
+  done;
+  shuffle g a
+
 let knuth_count g ~leaves l =
   let s = ref (Bytes.get_int64_ne g 0) in
   let k = ref 0 in

@@ -47,6 +47,12 @@ val shuffle : t -> int array -> unit
     and allocates nothing.  To shuffle other values, shuffle an index
     permutation and map through it. *)
 
+val fill_permutation : t -> int array -> unit
+(** [fill_permutation g a] overwrites [a] with a uniformly random
+    permutation of [0 .. Array.length a - 1]: the identity, then
+    {!shuffle}.  It allocates nothing, so a caller drawing one
+    permutation a round can reuse one buffer. *)
+
 val knuth_count : t -> leaves:int -> float -> int
 (** [knuth_count g ~leaves l] is the sum of [leaves] independent counts
     by Knuth's product-of-uniforms method with threshold [l]: each

@@ -302,7 +302,11 @@ let prop_rotor_router_matches_propp_machine =
       let rng = Prng.Splitmix.create seed in
       let orders =
         Array.init n (fun _ ->
-            if custom then Prng.Sample.permutation rng dp
+            if custom then begin
+              let p = Array.make dp 0 in
+              Prng.Splitmix.fill_permutation rng p;
+              p
+            end
             else Core.Rotor_router.default_order ~degree:d ~self_loops)
       in
       let rotors = Array.init n (fun _ -> if custom then Prng.Splitmix.int rng dp else 0) in

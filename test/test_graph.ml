@@ -322,7 +322,8 @@ let random_matchings_edges rng ~half ~d =
   let n = 2 * half in
   List.concat
     (List.init d (fun _ ->
-         let p = Prng.Sample.permutation rng n in
+         let p = Array.make n 0 in
+         Prng.Splitmix.fill_permutation rng p;
          List.init half (fun i ->
              if Prng.Splitmix.bool rng then (p.(2 * i), p.((2 * i) + 1))
              else (p.((2 * i) + 1), p.(2 * i)))))

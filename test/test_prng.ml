@@ -119,7 +119,8 @@ let test_shuffle_is_permutation () =
 
 let test_permutation_valid () =
   let g = Prng.Splitmix.create 14 in
-  let p = Prng.Sample.permutation g 50 in
+  let p = Array.make 50 (-1) in
+  Prng.Splitmix.fill_permutation g p;
   let sorted = Array.copy p in
   Array.sort compare sorted;
   Alcotest.(check (array int)) "valid permutation" (Array.init 50 (fun i -> i)) sorted
