@@ -110,8 +110,8 @@ let make ?order ?init_rotor g ~self_loops =
          as a zero add: at the small loads of an open system the extra
          token is a coin flip, and a branch on it mispredicts.  The rotor
          wraps without one: r' = r + e - d⁺ ∈ (-d⁺, d⁺), and on 63-bit
-         ints [r' asr 62] is -1 or 0.  Nor does the quotient branch on the data below
-         2·d⁺, where loads sit in a balanced round: there
+         ints [r' asr 62] is -1 or 0.  Nor does the quotient branch on
+         the data below 2·d⁺, where loads sit in a balanced round: there
          1 + ((x - d⁺) asr 62) is 0 or 1, and only a larger load pays
          for a division.  Ports go four at a time with constant shift
          counts, as the [lsl 2] slot offset has: port 4g + j reads bit j
