@@ -67,7 +67,7 @@ type kernel = {
       {!Engine.run} calls it only in a round where no load of [cur] is
       negative and their total is at most {!Acc32.max_slot}, so no slot
       can overflow, and drains [acc] back to zeros after it.
-      {!Engine.step} never calls it. *)
+      {!Engine.step_into}, and so {!Engine.step}, never calls it. *)
 }
 (** A whole-round kernel: one call per round instead of one [assign]
     call per node and a d⁺-entry ports buffer.

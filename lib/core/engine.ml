@@ -109,7 +109,7 @@ let active_kernel ~balancer ~tracker =
   | _ -> None
 
 (* One synchronous round from [cur] into [next], which must hold zeros;
-   [step] and [run]'s unpacked rounds drive it.  The balancer's whole-round kernel
+   [step_into] and [run]'s unpacked rounds drive it.  The balancer's whole-round kernel
    runs when it has one, the run is not audited and the record's
    [assign] is still the closure the kernel reproduces (a record
    rebuilt around another [assign], as {!Tap.wrap} makes, falls back);
@@ -129,20 +129,32 @@ let probe_round ~dp ~step ~moved ~disc ~mn loads =
   Obs.Probe.on_round ~engine:"core" ~d_plus:dp ~step ~tokens_moved:moved
     ~discrepancy:disc ~max_load:(mn + disc) ~min_load:mn ~loads
 
-let step ~graph ~balancer ~step loads =
-  check_shape ~fn:"step" ~graph ~balancer loads;
+(* The one single-round body: [step_into] names itself in its errors,
+   and [step] runs it on a fresh target under its own name. *)
+let round_step ~fn ~graph ~balancer ~step cur next =
+  check_shape ~fn ~graph ~balancer cur;
+  if Array.length next <> Array.length cur then
+    invalid_arg (Printf.sprintf "Engine.%s: next length mismatch" fn);
+  if next == cur then invalid_arg (Printf.sprintf "Engine.%s: next is cur" fn);
   let dp = Balancer.d_plus balancer in
   let probing = Obs.Probe.enabled () in
-  let next = Array.make (Array.length loads) 0 in
+  Loads.zero next;
   let moved =
     round_into ~balancer ~adj:(Graphs.Graph.adjacency graph)
-      ~d:balancer.Balancer.degree ~tracker:None ~probing ~step loads next
+      ~d:balancer.Balancer.degree ~tracker:None ~probing ~step cur next
   in
   if probing then begin
     let sc = { disc = 0; min = 0; total = 0 } in
     scan_into sc next;
     probe_round ~dp ~step ~moved ~disc:sc.disc ~mn:sc.min next
-  end;
+  end
+
+let step_into ~graph ~balancer ~step cur next =
+  round_step ~fn:"step_into" ~graph ~balancer ~step cur next
+
+let step ~graph ~balancer ~step loads =
+  let next = Array.make (Array.length loads) 0 in
+  round_step ~fn:"step" ~graph ~balancer ~step loads next;
   next
 
 (* [run]'s packed target before its first packed round, shared so
@@ -202,7 +214,7 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
            moved
          | _ ->
            if Array.length !next = 0 then next := Array.make n 0
-           else Array.fill !next 0 n 0;
+           else Loads.zero !next;
            let moved =
              round_into ~balancer ~adj ~d ~tracker ~probing ~step:t !cur !next
            in

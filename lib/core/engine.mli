@@ -76,21 +76,40 @@ val run :
     graph or [init] has the wrong length.
     @raise Invariant_violation on a misbehaving balancer. *)
 
+val step_into :
+  graph:Graphs.Graph.t ->
+  balancer:Balancer.t ->
+  step:int ->
+  int array ->
+  int array ->
+  unit
+(** [step_into ~graph ~balancer ~step cur next] executes one
+    synchronous round from [cur] into the caller's [next], calling the
+    balancer with step number [step].  It first zeroes [next] (by a
+    plain store loop, {!Loads.zero}), so [next] may hold anything; [cur]
+    is not mutated.  This is the round kernel
+    {!run} iterates: the same validation (and the same
+    {!Invariant_violation} messages), the same [core.assign] profiling
+    span and, when probes are enabled, the same per-round probe.  It
+    allocates nothing when a kernel runs (a d⁺-sized port buffer
+    otherwise), so a caller that keeps a spare vector, as the
+    open-system plain stepper does, drives rounds without garbage.  It
+    always scatters with the kernel's int [round], never the packed
+    one.  It makes no token-total check: that is left to its callers'
+    ledgers (the open-system engine's [conserved] balances the final
+    total against arrivals, departures and fault losses).  On a
+    violation [next] is left partly written.
+    @raise Invalid_argument before any balancer state moves if the
+    balancer's degree does not match the graph, [cur] or [next] has
+    the wrong length, or [next] is [cur] itself.
+    @raise Invariant_violation on a misbehaving balancer. *)
+
 val step :
   graph:Graphs.Graph.t -> balancer:Balancer.t -> step:int -> int array -> int array
-(** [step ~graph ~balancer ~step loads] executes one synchronous round,
-    calling the balancer with step number [step], and returns the new
-    load vector as a fresh array; [loads] is not mutated.  This is the
-    round kernel {!run} iterates: the same validation (and the same
-    {!Invariant_violation} messages), the same [core.assign] profiling
-    span and, when probes are enabled, the same per-round probe.  Its
-    only allocation is the returned array (plus a d⁺-sized port buffer
-    when no kernel runs), so it is the cheap way to drive one round at a
-    time, as the open-system steppers do.  It always scatters with the
-    kernel's int [round], never the packed one.  It makes no token-total
-    check: that is left to its callers' ledgers (the open-system
-    engine's [conserved] balances the final total against arrivals,
-    departures and fault losses).
+(** [step ~graph ~balancer ~step loads] is {!step_into} on a fresh
+    array, which it returns; [loads] is not mutated, and the caller
+    owns both arrays afterwards.  Its only allocation is the returned
+    array (plus the port buffer when no kernel runs).
     @raise Invalid_argument if the balancer's degree does not match the
     graph or [loads] has the wrong length.
     @raise Invariant_violation on a misbehaving balancer. *)

@@ -8,6 +8,15 @@ let total a =
   done;
   !s
 
+(* A store loop, not [Array.fill]: on an array in the major heap,
+   OCaml 5's [caml_array_fill] tests every old value it overwrites, and
+   on live loads that test mispredicts.  The stores here are of an
+   immediate into an [int array], so they need no write barrier. *)
+let zero (a : int array) =
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- 0
+  done
+
 let max_load a =
   require_nonempty "max_load" a;
   Array.fold_left max a.(0) a

@@ -1,6 +1,12 @@
 (** Load vectors and the metrics the paper states its results in. *)
 
 val total : int array -> int
+val zero : int array -> unit
+(** [zero a] sets every entry of [a] to 0 by a plain store loop: the
+    way every scatter buffer that is kept across rounds is cleared
+    ({!Engine}, [Shard_engine], [Iengine]).  [Array.fill] is slower on
+    a major-heap array holding live loads (DESIGN.md §12.1). *)
+
 val max_load : int array -> int
 val min_load : int array -> int
 

@@ -26,23 +26,34 @@ let plan_at plan ~round =
         else None)
     plan
 
-(* One Core.Engine round.  Every open-system round is the balancer's
-   step 1, so step-dependent schemes (mimic) see the same step number in
-   every round and seeded runs replay. *)
-let plain_step ~graph ~balancer loads =
-  {
-    Workload.Engine.loads = Core.Engine.step ~graph ~balancer ~step:1 loads;
-    injected = 0;
-    lost = 0;
-  }
+(* One Core.Engine round into a kept spare.  Every open-system round is
+   the balancer's step 1, so step-dependent schemes (mimic) see the same
+   step number in every round and seeded runs replay.  The spare is made
+   on the first call; after that each round scatters into the array
+   handed over the round before, which the stepper contract gives back
+   to the stepper, so a round allocates no n-array.  A caller that
+   broke the contract by handing the spare itself back would get
+   [step_into]'s [Invalid_argument], not a round read from zeroed
+   loads. *)
+let plain_stepper ~graph ~balancer =
+  let spare = ref [||] in
+  fun loads ->
+    if Array.length !spare = 0 then spare := Array.make (Array.length loads) 0;
+    let next = !spare in
+    Core.Engine.step_into ~graph ~balancer ~step:1 loads next;
+    spare := loads;
+    { Workload.Engine.loads = next; injected = 0; lost = 0 }
 
 let stepper ?(mode = Plain) ~graph ~balancer () =
   match mode with
-  | Plain -> fun ~round:_ loads -> plain_step ~graph ~balancer loads
+  | Plain ->
+    let plain = plain_stepper ~graph ~balancer in
+    fun ~round:_ loads -> plain loads
   | Faulty { plan } ->
+    let plain = plain_stepper ~graph ~balancer in
     fun ~round loads ->
       (match plan_at plan ~round with
-      | [] -> plain_step ~graph ~balancer loads
+      | [] -> plain loads
       | slice ->
         let report =
           Faults.Engine.run ~mode:Faults.Engine.Sequential ~graph

@@ -33,7 +33,14 @@ val stepper :
   Workload.Engine.stepper
 (** The balancing step for {!Workload.Engine.run}.  The balancer
     instance is shared across rounds, so stateful schemes (rotor
-    state, accumulators) persist exactly as in a closed-system run. *)
+    state, accumulators) persist exactly as in a closed-system run.
+    The [Plain] stepper, and [Faulty] in its fault-free rounds, run
+    {!Core.Engine.step_into} into one kept spare n-array, made on the
+    first call: each round scatters into the spare, and the array it
+    was handed becomes the next spare, as the
+    {!Workload.Engine.stepper} contract allows.  So one stepper
+    allocates no n-array after its first round, and it must only be
+    driven by callers that keep that contract. *)
 
 val run :
   ?mode:mode ->

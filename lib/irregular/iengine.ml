@@ -30,7 +30,7 @@ let run ?(sample_every = 1) ?hook ~graph ~balancer ~init ~steps () =
   let steps_done = ref 0 in
   for t = 1 to steps do
     let cur_a = !cur and next_a = !next in
-    Array.fill next_a 0 n 0;
+    Core.Loads.zero next_a;
     for u = 0 to n - 1 do
       let x = cur_a.(u) in
       balancer.Ibalancer.assign ~step:t ~node:u ~load:x ~ports;

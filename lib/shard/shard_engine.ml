@@ -228,7 +228,7 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy
     let mine = ctx.mine and targets = ctx.targets in
     let acc = ctx.acc and ports = ctx.ports in
     let m = Array.length mine in
-    Array.fill acc 0 (Array.length acc) 0;
+    Core.Loads.zero acc;
     ctx.moved <- 0;
     for i = 0 to m - 1 do
       let u = mine.(i) in

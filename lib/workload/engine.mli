@@ -16,7 +16,12 @@ type step_result = {
 
 type stepper = round:int -> int array -> step_result
 (** One synchronous balancing step over the given loads ([round] is
-    1-based).  Must not mutate its input array. *)
+    1-based).  Ownership passes both ways.  The array handed in becomes
+    the stepper's: it may reuse it once the call has returned, say as a
+    later round's scatter target.  {!run} never reads an array after
+    handing it over, and it copies [init] rather than hand that over.
+    The returned [loads] becomes {!run}'s: the stepper must not touch
+    it again until it is handed back. *)
 
 type warmup =
   | Auto  (** MSER cutoff estimated from the discrepancy series *)

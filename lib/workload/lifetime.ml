@@ -62,10 +62,16 @@ let depart t ~round ~arrivals ~loads =
     done;
     !departed
   | Service { rate } ->
+    (* c = min l rate without a branch: z asr 62 is -1 when z < 0 and 0
+       otherwise, so c is l below the rate and the rate from it on.  A
+       branch would be a coin flip: after departures about a third of
+       an open system's nodes are empty.  Exact while l - rate does not
+       overflow, that is for every l >= min_int + rate. *)
     let departed = ref 0 in
     for u = 0 to n - 1 do
       let l = loads.(u) in
-      let c = if l < rate then l else rate in
+      let z = l - rate in
+      let c = rate + (z land (z asr 62)) in
       loads.(u) <- l - c;
       departed := !departed + c
     done;

@@ -339,6 +339,22 @@ let test_step_allocation () =
     true
     (words <= float_of_int budget)
 
+(* [step_into] on the kernel path allocates nothing at all: the target
+   is the caller's. *)
+let test_step_into_allocation () =
+  let g = Graphs.Gen.torus [ 64; 64 ] in
+  let n = Graphs.Graph.n g in
+  let bal = Core.Rotor_router.make g ~self_loops:4 in
+  let a = Core.Loads.point_mass ~n ~total:(1000 * n) and b = Array.make n 5 in
+  Core.Engine.step_into ~graph:g ~balancer:bal ~step:1 a b;
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  Core.Engine.step_into ~graph:g ~balancer:bal ~step:2 b a;
+  Gc.minor ();
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  check_int "mass conserved" (1000 * n) (Core.Loads.total a);
+  check_bool (Printf.sprintf "%.0f words allocated, budget 64" words) true (words <= 64.0)
+
 (* On the packed path [run] allocates its copy of [init] and n 32-bit
    slots, 1.5·n words in all, and no second n-word vector. *)
 let test_run_allocation () =
@@ -415,6 +431,67 @@ let prop_step_iterates_to_run =
           if not ok then QCheck.Test.fail_reportf "%s diverged after %d steps" label k;
           ok)
         families)
+
+(* [step_into] into a target holding garbage, ping-ponging two buffers
+   as the open-system plain stepper does, is [step]: same loads after
+   every round, same balancer state at the end. *)
+let prop_step_into_is_step =
+  QCheck.Test.make ~count:25
+    ~name:"step_into over a garbage target = step for every balancer family"
+    QCheck.(triple (int_range 4 20) (int_range 1 30) small_nat)
+    (fun (half, k, seed) ->
+      let n = 2 * half in
+      let g = Graphs.Gen.random_regular (Prng.Splitmix.create (seed + 1)) ~n ~d:4 in
+      let init =
+        Core.Loads.uniform_random (Prng.Splitmix.create (seed + 2)) ~n ~total:(37 * n)
+      in
+      let junk = Prng.Splitmix.create (seed + 3) in
+      let scribble a = Array.iteri (fun i _ -> a.(i) <- Prng.Splitmix.int junk 2001 - 1000) a in
+      List.for_all
+        (fun (label, make) ->
+          let b_step, state_step = make g init in
+          let b_into, state_into = make g init in
+          let loads = ref init in
+          let cur = ref (Array.copy init) and spare = ref (Array.make n 0) in
+          scribble !spare;
+          let same = ref true in
+          for t = 1 to k do
+            loads := Core.Engine.step ~graph:g ~balancer:b_step ~step:t !loads;
+            Core.Engine.step_into ~graph:g ~balancer:b_into ~step:t !cur !spare;
+            let next = !spare in
+            spare := !cur;
+            cur := next;
+            if !loads <> !cur then same := false;
+            (* The handed-back array is the next target. *)
+            scribble !spare
+          done;
+          let ok = !same && state_step () = state_into () in
+          if not ok then QCheck.Test.fail_reportf "%s diverged within %d steps" label k;
+          ok)
+        families)
+
+(* A [next] of the wrong length, or [cur] itself, is rejected before the
+   round starts: no rotor moves and [cur] is untouched. *)
+let test_step_into_shape () =
+  let g = Graphs.Gen.torus [ 4; 4 ] in
+  let n = Graphs.Graph.n g in
+  let b = Core.Rotor_router.make g ~self_loops:4 in
+  let init = Array.init n (fun i -> 3 + (5 * i)) in
+  let state0 = (Option.get b.Core.Balancer.persist).Core.Balancer.state_save () in
+  let rejects label next cur =
+    let pristine = Array.copy cur in
+    check_bool (label ^ ": Invalid_argument") true
+      (match Core.Engine.step_into ~graph:g ~balancer:b ~step:1 cur next with
+      | () -> false
+      | exception Invalid_argument _ -> true);
+    Alcotest.(check (array int)) (label ^ ": rotors unmoved") state0
+      ((Option.get b.Core.Balancer.persist).Core.Balancer.state_save ());
+    Alcotest.(check (array int)) (label ^ ": cur untouched") pristine cur
+  in
+  rejects "next one short" (Array.make (n - 1) 7) init;
+  rejects "next one long" (Array.make (n + 1) 7) init;
+  rejects "next is cur" init init;
+  rejects "cur one short" (Array.make (n - 1) 0) (Array.make (n - 1) 1)
 
 (* --- The rotor-router's whole-round kernel --- *)
 
@@ -791,10 +868,12 @@ let () =
           Alcotest.test_case "degree mismatch" `Quick test_degree_mismatch_rejected;
           Alcotest.test_case "step reports like run" `Quick test_step_reports_like_run;
           Alcotest.test_case "validation precedence" `Quick test_validation_precedence;
+          Alcotest.test_case "step_into shape check" `Quick test_step_into_shape;
         ] );
       ( "allocation",
         [
           Alcotest.test_case "step allocation" `Quick test_step_allocation;
+          Alcotest.test_case "step_into allocation" `Quick test_step_into_allocation;
           Alcotest.test_case "run allocation" `Quick test_run_allocation;
         ] );
       ( "rotor kernel",
@@ -823,5 +902,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_conservation_under_rotor_router;
           QCheck_alcotest.to_alcotest prop_discrepancy_series_starts_at_initial;
           QCheck_alcotest.to_alcotest prop_step_iterates_to_run;
+          QCheck_alcotest.to_alcotest prop_step_into_is_step;
         ] );
     ]

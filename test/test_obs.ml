@@ -460,7 +460,7 @@ let equiv_net =
       in
       with_probes_off run = with_probes_on run)
 
-(* The open-system stepper path: Core.Engine.step driven round by round
+(* The open-system stepper path: Core.Engine.step_into driven round by round
    under live arrivals and departures, on its own and composed with a
    mid-run crash. *)
 let equiv_stepper =

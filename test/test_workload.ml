@@ -189,6 +189,36 @@ let test_service_caps_per_node () =
   check_int "immortal never departs" 0
     (L.depart L.immortal ~round:1 ~arrivals:0 ~loads)
 
+(* Service departs min(load, rate) at every node, by sign-bit
+   arithmetic rather than a branch: against the plain [min], on loads
+   that include negative ones and at rate 0.  A negative load departs a
+   negative count and is raised to zero. *)
+let prop_service_is_min =
+  QCheck.Test.make ~name:"service departs min(load, rate) at every node" ~count:200
+    QCheck.(pair (int_range 0 9) (array_of_size Gen.(int_range 1 40) (int_range (-50) 50)))
+    (fun (rate, loads) ->
+      let want = Array.map (fun l -> l - min l rate) loads in
+      let departed = Array.fold_left (fun acc l -> acc + min l rate) 0 loads in
+      let got = Array.copy loads in
+      let d = L.depart (L.service ~rate) ~round:1 ~arrivals:0 ~loads:got in
+      d = departed && got = want)
+
+let test_service_edges () =
+  let depart rate loads =
+    let loads = Array.copy loads in
+    let d = L.depart (L.service ~rate) ~round:1 ~arrivals:0 ~loads in
+    (d, loads)
+  in
+  let pair = Alcotest.(pair int (array int)) in
+  Alcotest.check pair "rate 0 departs only a negative load" (-3, [| 0; 0; 7 |])
+    (depart 0 [| -3; 0; 7 |]);
+  Alcotest.check pair "negative loads depart themselves" (-4, [| 0; 0; 0 |])
+    (depart 2 [| -3; 0; -1 |]);
+  Alcotest.check pair "at and around the rate" (5, [| 0; 0; 1; 0 |])
+    (depart 2 [| 1; 2; 3; 0 |]);
+  Alcotest.check pair "huge loads" (4, [| max_int - 2; 0 |]) (depart 2 [| max_int; 2 |]);
+  Alcotest.check pair "huge rate" (7, [| 0; 0 |]) (depart max_int [| 7; 0 |])
+
 let test_fixed_lifetime_calendar () =
   (* Lifetime 3: the cohort injected at round r departs at round r+3. *)
   let lt = L.fixed ~rng:(Prng.Splitmix.create 51) ~rounds:3 in
@@ -484,6 +514,101 @@ let test_uniform_placement_allocation () =
     (Printf.sprintf "%.1f minor words per round, budget 0" per_round)
     true (per_round = 0.0)
 
+(* The benchmark's open torus in small: Poisson arrivals at 90% of a
+   rate-2 service capacity on a side × side torus. *)
+let open_torus ~side ~seed ~rounds =
+  let g = Graphs.Gen.torus [ side; side ] in
+  let n = Graphs.Graph.n g in
+  let arrival = A.poisson ~rng:(Prng.Splitmix.create seed) ~rate:(0.9 *. 2.0 *. float_of_int n) in
+  let config = E.config ~arrival ~lifetime:(L.service ~rate:2) ~rounds () in
+  (g, config, Core.Rotor_router.make g ~self_loops:4, Array.make n 0)
+
+(* A stepper may reuse any array it was handed once it has returned, so
+   a wrapper that scribbles over those arrays must leave the run's
+   result unchanged: [run] never reads an array after handing it over.
+   Both the array of the previous call and that of this one (after the
+   inner step) are scribbled over. *)
+let test_hostile_stepper () =
+  let rounds = 60 in
+  let g, config, balancer, init = open_torus ~side:16 ~seed:7 ~rounds in
+  let reference = Harness.Openrun.run ~config ~graph:g ~balancer ~init () in
+  let g, config, balancer, init = open_torus ~side:16 ~seed:7 ~rounds in
+  let inner = Harness.Openrun.stepper ~graph:g ~balancer () in
+  let junk = Prng.Splitmix.create 99 in
+  let scribble a = Array.iteri (fun i _ -> a.(i) <- Prng.Splitmix.int junk 1000 - 500) a in
+  let prev = ref [||] and calls = ref 0 in
+  let hostile ~round loads =
+    incr calls;
+    scribble !prev;
+    let r = inner ~round loads in
+    scribble loads;
+    prev := loads;
+    r
+  in
+  let pristine = Array.copy init in
+  let got = E.run config ~init hostile in
+  check_int "stepper called every round" rounds !calls;
+  Alcotest.(check (array int)) "init untouched" pristine init;
+  check_bool "result byte-identical" true
+    (String.equal (Marshal.to_string reference []) (Marshal.to_string got []))
+
+(* The [Faulty] stepper keeps the plain stepper's spare across its
+   fault rounds: against a reference that takes every fault-free round
+   from [Core.Engine.step] (a fresh vector each time) and hands only
+   the fault rounds to a [Faulty] stepper, a run with a crash, an
+   outage over six rounds and a load shock is byte-identical. *)
+let test_faulty_spare () =
+  let rounds = 40 in
+  let plan =
+    let at step event = { Faults.Schedule.step; event } in
+    [
+      at 5 (Faults.Schedule.Load_shock { node = 3; amount = 900 });
+      at 12
+        (Faults.Schedule.Crash
+           { node = 17; state = Faults.Schedule.Wipe_state; tokens = Faults.Schedule.Spill_tokens });
+      at 13
+        (Faults.Schedule.Crash
+           { node = 40; state = Faults.Schedule.Keep_state; tokens = Faults.Schedule.Lose_tokens });
+      at 20 (Faults.Schedule.Edge_outage { node = 8; port = 1; last_step = 25 });
+    ]
+  in
+  let mode = Harness.Openrun.Faulty { plan } in
+  let g, config, balancer, init = open_torus ~side:16 ~seed:5 ~rounds in
+  let got = Harness.Openrun.run ~mode ~config ~graph:g ~balancer ~init () in
+  let g, config, balancer, init = open_torus ~side:16 ~seed:5 ~rounds in
+  let faulty = Harness.Openrun.stepper ~mode ~graph:g ~balancer () in
+  let reference ~round loads =
+    match Harness.Openrun.plan_at plan ~round with
+    | [] ->
+      { E.loads = Core.Engine.step ~graph:g ~balancer ~step:1 loads; injected = 0; lost = 0 }
+    | _ -> faulty ~round loads
+  in
+  let want = E.run config ~init reference in
+  check_bool "tokens shocked in and lost" true (want.E.fault_injected > 0 && want.E.fault_lost > 0);
+  check_bool "result byte-identical" true
+    (String.equal (Marshal.to_string want []) (Marshal.to_string got []))
+
+(* The plain open round allocates no n-array: after the stepper's first
+   call (its spare) and [run]'s copy of [init], a round costs its series
+   entries and step record, far below the 4097 words a fresh vector
+   would take. *)
+let test_open_round_allocation () =
+  let rounds = 200 in
+  let g, config, balancer, init = open_torus ~side:64 ~seed:3 ~rounds in
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  let r = Harness.Openrun.run ~config ~graph:g ~balancer ~init () in
+  Gc.minor ();
+  let per_round =
+    (Gc.allocated_bytes () -. before)
+    /. float_of_int (Sys.word_size / 8)
+    /. float_of_int rounds
+  in
+  check_bool "conserved" true r.E.conserved;
+  check_bool
+    (Printf.sprintf "%.0f words a round, budget 1000" per_round)
+    true (per_round <= 1000.0)
+
 let () =
   Alcotest.run "workload"
     [
@@ -521,6 +646,7 @@ let () =
       ( "lifetimes",
         [
           Alcotest.test_case "service caps per node" `Quick test_service_caps_per_node;
+          Alcotest.test_case "service edges" `Quick test_service_edges;
           Alcotest.test_case "fixed calendar" `Quick test_fixed_lifetime_calendar;
           Alcotest.test_case "fixed clamps to in-flight" `Quick
             test_fixed_lifetime_clamps_to_inflight;
@@ -534,6 +660,9 @@ let () =
           Alcotest.test_case "rejects bad arrival target" `Quick
             test_engine_rejects_bad_target;
           Alcotest.test_case "fixed warm-up window" `Quick test_fixed_warmup_window;
+          Alcotest.test_case "hostile stepper" `Quick test_hostile_stepper;
+          Alcotest.test_case "faulty stepper keeps its spare" `Quick test_faulty_spare;
+          Alcotest.test_case "open round allocation" `Quick test_open_round_allocation;
           Alcotest.test_case "probes on/off bit-identical" `Quick
             test_probes_on_off_bit_identical;
           Alcotest.test_case "flash crowd absorbed" `Quick test_flash_crowd_absorbed;
@@ -544,6 +673,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_conservation_across_families;
           QCheck_alcotest.to_alcotest prop_replay_bit_identical;
+          QCheck_alcotest.to_alcotest prop_service_is_min;
           QCheck_alcotest.to_alcotest prop_int_percentile_matches_sort;
         ] );
     ]
