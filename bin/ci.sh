@@ -85,11 +85,14 @@ cmp "$crash_dir/loads" "$crash_dir/loads.net" || {
 }
 rm -rf "$crash_dir"
 
-echo "== kernel smoke: packed and int kernel paths match the generic loop =="
-# Core.Engine.run scatters into 32-bit slots while no load is negative
-# and the total is at most 2^31 - 1, and into an int vector otherwise;
-# --audit forces the generic per-node loop.  point:4096 takes the packed
-# path, point:4294967296 the int fallback; the random 8-regular graph
+echo "== kernel smoke: 16-bit, 32-bit and int kernel paths match the generic loop =="
+# Core.Engine.run picks one of three scatter targets per round: 16-bit
+# slots while no load is negative and max + d+ <= 2^16, else 32-bit
+# slots while the total is at most 2^31 - 1, else an int vector;
+# --audit forces the generic per-node loop.  On torus:16x16 (d+ = 8)
+# point:4096 takes 16-bit slots from round 1, point:65528 too (at the
+# guard's edge), point:65529 32-bit slots in round 1 and 16-bit ones
+# after, point:4294967296 the int fallback; the random 8-regular graph
 # with 8 self-loops is the closed-expander benchmark's family at small
 # n; degrees 6 and 7 leave 2 and 3 ports after the kernel's groups of
 # four; complete:40 has d = 39, past the rotor window table's d <= 31,
@@ -106,6 +109,8 @@ kernel_smoke() {
   fi
 }
 kernel_smoke --graph torus:16x16 --init point:4096
+kernel_smoke --graph torus:16x16 --init point:65528
+kernel_smoke --graph torus:16x16 --init point:65529
 kernel_smoke --graph torus:16x16 --init point:4294967296
 kernel_smoke --graph random:4096,8,7 --self-loops 8 --init point:65536
 kernel_smoke --graph random:4096,6,7 --self-loops 6 --init point:65536

@@ -16,7 +16,8 @@ type assign = step:int -> node:int -> load:int -> ports:int array -> unit
 type kernel = {
   reproduces : assign;
   round : step:int -> adj:int array -> int array -> int array -> int;
-  round_packed : step:int -> adj:int array -> int array -> Acc32.t -> int;
+  round_packed : step:int -> adj:int array -> int array -> Acc.t -> int;
+  round_packed16 : step:int -> adj:int array -> int array -> Acc.t -> int;
 }
 
 type t = {

@@ -55,19 +55,28 @@ type kernel = {
       over original ports.  Raises [Invalid_argument] before any state
       changes when [cur] or [adj] does not have the shape of the graph
       the balancer was made for. *)
-  round_packed : step:int -> adj:int array -> int array -> Acc32.t -> int;
+  round_packed : step:int -> adj:int array -> int array -> Acc.t -> int;
   (** [round_packed ~step ~adj cur acc] is [round] with [acc] as the
-      scatter target: a zeroed {!Acc32} accumulator with one 32-bit slot
+      scatter target: a zeroed {!Acc} accumulator with one 32-bit slot
       per node of [cur], where [adj] is that graph's adjacency (slots
       are written unchecked).  The state updates, exceptions and return
       value are [round]'s, and so is the shape check, which here also
       raises [Invalid_argument], before any state changes, when [acc]
-      has fewer slots than [cur] has nodes; the two differ only in
-      where they add.
+      has fewer 32-bit slots than [cur] has nodes; the two differ only
+      in where they add.
       {!Engine.run} calls it only in a round where no load of [cur] is
-      negative and their total is at most {!Acc32.max_slot}, so no slot
+      negative and their total is at most {!Acc.max_slot}, so no slot
       can overflow, and drains [acc] back to zeros after it.
       {!Engine.step_into}, and so {!Engine.step}, never calls it. *)
+  round_packed16 : step:int -> adj:int array -> int array -> Acc.t -> int;
+  (** [round_packed16] is [round_packed] adding into [acc]'s 16-bit
+      slots instead (its first 2n bytes, zeroed), and its shape check
+      refuses an [acc] with fewer 16-bit slots than [cur] has nodes.
+      A sum past {!Acc.max_slot16} wraps.  {!Engine.run} calls it only
+      in a round where no load of [cur] is negative and the largest,
+      m, has m + d⁺ ≤ 2¹⁶: with every port sent at most ⌈m/d⁺⌉ tokens
+      (below), no node then receives more than
+      d⁺·⌈m/d⁺⌉ ≤ m + d⁺ − 1 ≤ {!Acc.max_slot16}. *)
 }
 (** A whole-round kernel: one call per round instead of one [assign]
     call per node and a d⁺-entry ports buffer.
@@ -75,7 +84,12 @@ type kernel = {
     Only a balancer's own constructor may set one ({!Rotor_router.make}
     does, for its default order), and the loads and state it leaves must
     match [assign] bit for bit; the kernel writes no ports, so it is
-    trusted to route what [assign] would have assigned.  {!Engine}
+    trusted to route what [assign] would have assigned.  Its balancer
+    must be round-fair (Definition 3.1): a node holding x ≥ 0 sends at
+    most ⌈x/d⁺⌉ tokens on each port, self-loops included, which is
+    what makes [round_packed16]'s slots wide enough.  A kernel that
+    breaks this overflows a 16-bit slot, and the wrapped slot changes
+    the round's token total, which {!Engine.run} checks.  {!Engine}
     ignores the kernel, and drives [assign] node by node, when the run
     is audited ([Fairness] needs every node's ports) and whenever the
     record was rebuilt with another [assign] — as {!Tap.wrap} and the

@@ -25,15 +25,32 @@ let scan_into s loads =
   s.min <- !lo;
   s.total <- !total
 
-(* [scan_into] over the slots a packed round filled, fused with moving
-   them into [loads] and zeroing them for the next round: the packed
-   path's only pass over the vector besides the round itself. *)
+(* [scan_into] over the 32-bit slots a packed round filled, fused with
+   moving them into [loads] and zeroing them for the next round: the
+   packed path's only pass over the vector besides the round itself. *)
 let drain_scan_into s acc loads =
   let lo = ref max_int and hi = ref min_int and total = ref 0 in
   for i = 0 to Array.length loads - 1 do
     let o = i lsl 2 in
-    let x = Int32.to_int (Acc32.get acc o) in
-    Acc32.set acc o 0l;
+    let x = Int32.to_int (Acc.get acc o) in
+    Acc.set acc o 0l;
+    loads.(i) <- x;
+    if x < !lo then lo := x;
+    if x > !hi then hi := x;
+    total := !total + x
+  done;
+  s.disc <- !hi - !lo;
+  s.min <- !lo;
+  s.total <- !total
+
+(* [drain_scan_into] over the 16-bit slots, which it zeroes; the bytes
+   past them, which only 32-bit rounds write, are zero already. *)
+let drain_scan16_into s acc loads =
+  let lo = ref max_int and hi = ref min_int and total = ref 0 in
+  for i = 0 to Array.length loads - 1 do
+    let o = i lsl 1 in
+    let x = Acc.get16 acc o in
+    Acc.set16 acc o 0;
     loads.(i) <- x;
     if x < !lo then lo := x;
     if x > !hi then hi := x;
@@ -159,7 +176,7 @@ let step ~graph ~balancer ~step loads =
 
 (* [run]'s packed target before its first packed round, shared so
    that a run allocates nothing for it until then. *)
-let no_slots = Acc32.create 0
+let no_slots = Acc.create 0
 
 let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
     ~balancer ~init ~steps () =
@@ -199,17 +216,26 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
   (try
      for t = 1 to steps do
        if !reached <> None && stop_at_discrepancy <> None then raise Exit;
+       (* With no load negative, a slot is at most the round's total,
+          and, the kernel being round-fair, at most d⁺·⌈max/d⁺⌉ ≤
+          max + d⁺ − 1: at max + d⁺ ≤ 2¹⁶ no 16-bit slot can
+          overflow, else at total ≤ 2³¹ − 1 no 32-bit one.  Both widths
+          share the one buffer.  (max = min + disc cannot overflow once
+          min ≥ 0.) *)
+       let packed = sc.min >= 0 in
+       let narrow = packed && sc.min + sc.disc <= Acc.max_slot16 + 1 - dp in
        let moved =
          match kernel with
-         | Some k when sc.min >= 0 && sc.total <= Acc32.max_slot ->
-           (* No load is negative and every slot is at most the total,
-              so no 32-bit slot can overflow this round. *)
-           if Acc32.length !acc = 0 then acc := Acc32.create n;
+         | Some k when narrow || (packed && sc.total <= Acc.max_slot) ->
+           if Acc.length !acc = 0 then acc := Acc.create n;
            let sp = Obs.Prof.start "core.assign" in
-           let moved = k.Balancer.round_packed ~step:t ~adj !cur !acc in
+           let moved =
+             if narrow then k.Balancer.round_packed16 ~step:t ~adj !cur !acc
+             else k.Balancer.round_packed ~step:t ~adj !cur !acc
+           in
            Obs.Prof.stop sp;
            let sp = Obs.Prof.start "core.scan" in
-           drain_scan_into sc !acc !cur;
+           if narrow then drain_scan16_into sc !acc !cur else drain_scan_into sc !acc !cur;
            Obs.Prof.stop sp;
            moved
          | _ ->

@@ -61,16 +61,21 @@ val run :
     per-node checks come first: a negative original port, then a node
     whose ports do not sum to its load.
 
-    When the balancer's kernel runs, each round picks its scatter target
-    from the last scan (of the previous round, or of the hook's vector):
-    if no load is negative and the total is at most {!Acc32.max_slot},
-    no slot can overflow, so the kernel's [round_packed] adds into 4n
-    bytes of 32-bit slots, and one pass moves them back into the load
-    vector in place, zeroes them and makes the scan.  Any other round,
+    When the balancer's kernel runs, each round picks one of three
+    scatter targets from the last scan (of the previous round, or of
+    the hook's vector).  If no load is negative and the largest, m, has
+    m + d⁺ ≤ 2¹⁶, the kernel's [round_packed16] adds into n 16-bit
+    slots: the kernel is round-fair, so no node receives more than
+    d⁺·⌈m/d⁺⌉ ≤ m + d⁺ − 1 tokens.  Else, if no load is negative and
+    the total is at most {!Acc.max_slot}, its [round_packed] adds into
+    n 32-bit slots, none of which can exceed the total.  Either way
+    one pass moves the slots back into the load vector in place,
+    zeroes them and makes the scan, and both widths use the one 4n-byte
+    {!Acc.t}, the 16-bit slots its first 2n bytes.  Any other round,
     and every round without a kernel, scatters into a second n-word
     vector.  Each target is allocated on its first use, so a packed run
     holds one n-word vector (the copy of [init]) plus 4n bytes.  The
-    results are bit-identical either way.
+    results are bit-identical whichever target a round takes.
 
     @raise Invalid_argument if the balancer's degree does not match the
     graph or [init] has the wrong length.
@@ -94,7 +99,7 @@ val step_into :
     allocates nothing when a kernel runs (a d⁺-sized port buffer
     otherwise), so a caller that keeps a spare vector, as the
     open-system plain stepper does, drives rounds without garbage.  It
-    always scatters with the kernel's int [round], never the packed
+    always scatters with the kernel's int [round], never a packed
     one.  It makes no token-total check: that is left to its callers'
     ledgers (the open-system engine's [conserved] balances the final
     total against arrivals, departures and fault losses).  On a

@@ -183,7 +183,7 @@ let make ?order ?init_rotor g ~self_loops =
          closure, which would cost a call per port. *)
       let round_packed ~step:_ ~adj cur acc =
         let n = check_shape ~adj cur in
-        if Acc32.length acc < n then
+        if Acc.length acc < n then
           invalid_arg "Rotor_router: kernel round into an accumulator with too few slots";
         let moved = ref 0 in
         for u = 0 to n - 1 do
@@ -202,26 +202,26 @@ let make ?order ?init_rotor g ~self_loops =
               let k0 = !k and t = !m in
               (* k0 + 3 < base + d <= n·d = length adj *)
               let o = Array.unsafe_get adj k0 lsl 2 in
-              Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int (q + (t land 1))));
+              Acc.set acc o (Int32.add (Acc.get acc o) (Int32.of_int (q + (t land 1))));
               (* k0 + 1 < length adj, as above *)
               let o = Array.unsafe_get adj (k0 + 1) lsl 2 in
-              Acc32.set acc o
-                (Int32.add (Acc32.get acc o) (Int32.of_int (q + ((t lsr 1) land 1))));
+              Acc.set acc o
+                (Int32.add (Acc.get acc o) (Int32.of_int (q + ((t lsr 1) land 1))));
               (* k0 + 2 < length adj, as above *)
               let o = Array.unsafe_get adj (k0 + 2) lsl 2 in
-              Acc32.set acc o
-                (Int32.add (Acc32.get acc o) (Int32.of_int (q + ((t lsr 2) land 1))));
+              Acc.set acc o
+                (Int32.add (Acc.get acc o) (Int32.of_int (q + ((t lsr 2) land 1))));
               (* k0 + 3 < length adj, as above *)
               let o = Array.unsafe_get adj (k0 + 3) lsl 2 in
-              Acc32.set acc o
-                (Int32.add (Acc32.get acc o) (Int32.of_int (q + ((t lsr 3) land 1))));
+              Acc.set acc o
+                (Int32.add (Acc.get acc o) (Int32.of_int (q + ((t lsr 3) land 1))));
               k := k0 + 4;
               m := t lsr 4
             done;
             for k = stop to base + d - 1 do
               (* k < base + d <= n·d = length adj *)
               let o = Array.unsafe_get adj k lsl 2 in
-              Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int (q + (!m land 1))));
+              Acc.set acc o (Int32.add (Acc.get acc o) (Int32.of_int (q + (!m land 1))));
               m := !m lsr 1
             done;
             let r' = r + e - dp in
@@ -229,13 +229,66 @@ let make ?order ?init_rotor g ~self_loops =
             Array.unsafe_set rotor u (r' + (dp land (r' asr 62)));
             moved := !moved + sent;
             let o = u lsl 2 in
-            Acc32.set acc o (Int32.add (Acc32.get acc o) (Int32.of_int (x - sent)))
+            Acc.set acc o (Int32.add (Acc.get acc o) (Int32.of_int (x - sent)))
           end
           else if x < 0 then negative_load ()
         done;
         !moved
       in
-      Some { Balancer.reproduces = assign; round; round_packed }
+      (* [round_packed] with plain int adds into [acc]'s 16-bit slots,
+         at byte offset [i lsl 1]: no [Int32] conversion. *)
+      let round_packed16 ~step:_ ~adj cur acc =
+        let n = check_shape ~adj cur in
+        if Acc.length16 acc < n then
+          invalid_arg "Rotor_router: kernel round into an accumulator with too few slots";
+        let moved = ref 0 in
+        for u = 0 to n - 1 do
+          (* u < n = length cur *)
+          let x = Array.unsafe_get cur u in
+          if x > 0 then begin
+            let q = if x < 2 * dp then 1 + ((x - dp) asr 62) else x / dp in
+            let e = x - (q * dp) in
+            (* u < n = length rotor *)
+            let r = Array.unsafe_get rotor u in
+            let t = win.((r * dp) + e) in
+            let sent = (q * d) + (t lsr 32) in
+            let base = u * d in
+            let stop = base + d4 and k = ref base and m = ref t in
+            while !k < stop do
+              let k0 = !k and t = !m in
+              (* k0 + 3 < base + d <= n·d = length adj *)
+              let o = Array.unsafe_get adj k0 lsl 1 in
+              Acc.set16 acc o (Acc.get16 acc o + q + (t land 1));
+              (* k0 + 1 < length adj, as above *)
+              let o = Array.unsafe_get adj (k0 + 1) lsl 1 in
+              Acc.set16 acc o (Acc.get16 acc o + q + ((t lsr 1) land 1));
+              (* k0 + 2 < length adj, as above *)
+              let o = Array.unsafe_get adj (k0 + 2) lsl 1 in
+              Acc.set16 acc o (Acc.get16 acc o + q + ((t lsr 2) land 1));
+              (* k0 + 3 < length adj, as above *)
+              let o = Array.unsafe_get adj (k0 + 3) lsl 1 in
+              Acc.set16 acc o (Acc.get16 acc o + q + ((t lsr 3) land 1));
+              k := k0 + 4;
+              m := t lsr 4
+            done;
+            for k = stop to base + d - 1 do
+              (* k < base + d <= n·d = length adj *)
+              let o = Array.unsafe_get adj k lsl 1 in
+              Acc.set16 acc o (Acc.get16 acc o + q + (!m land 1));
+              m := !m lsr 1
+            done;
+            let r' = r + e - dp in
+            (* u < n = length rotor *)
+            Array.unsafe_set rotor u (r' + (dp land (r' asr 62)));
+            moved := !moved + sent;
+            let o = u lsl 1 in
+            Acc.set16 acc o (Acc.get16 acc o + x - sent)
+          end
+          else if x < 0 then negative_load ()
+        done;
+        !moved
+      in
+      Some { Balancer.reproduces = assign; round; round_packed; round_packed16 }
   in
   {
     Balancer.name = Printf.sprintf "rotor-router(d°=%d)" self_loops;

@@ -45,15 +45,18 @@ val make :
     is the bitmask of the original ports in the window [\[r, r + e)]
     and their count.  Per node it makes one lookup, sends
     q + (bit k) on original port k, and keeps x − (q·d + count).
-    Its [round] and [round_packed] are one loop written twice,
-    differing only in their adds (into an int vector and into {!Acc32}
-    slots); both skip empty nodes.  Each checks
+    Its [round], [round_packed] and [round_packed16] are one loop
+    written three times, differing only in their adds (into an int
+    vector, into {!Acc}'s 32-bit slots, and into its 16-bit slots as
+    plain ints); all skip empty nodes.  The kernel is round-fair: every
+    port gets ⌊x/d⁺⌋ or ⌈x/d⁺⌉ tokens.  Each variant checks
     the shapes once per round, before any rotor moves, and raises
     [Invalid_argument] when the loads are not one per node of [g], the
-    adjacency is not n·d long, or [round_packed]'s accumulator has
-    fewer than n slots; past that check, the loop's reads of the
-    loads, the rotors and the adjacency are unchecked.  The kernel exists only for d ≤ 31 and d⁺ ≤ 64,
-    so the table holds at most 4096 ints; a wider shape, like a custom
+    adjacency is not n·d long, or a packed variant's accumulator has
+    fewer than n slots of its width; past that check, the loop's reads
+    of the loads, the rotors and the adjacency are unchecked.  The
+    kernel exists only for d ≤ 31 and d⁺ ≤ 64, so the table holds at
+    most 4096 ints; a wider shape, like a custom
     [order], whose tables would cost n·d⁺² more ints, gets no kernel
     and keeps the generic path.
 

@@ -357,23 +357,28 @@ let test_step_into_allocation () =
 
 (* On the packed path [run] allocates its copy of [init] and n 32-bit
    slots, 1.5·n words in all, and no second n-word vector. *)
-let test_run_allocation () =
-  let g = Graphs.Gen.torus [ 64; 64 ] in
-  let n = Graphs.Graph.n g in
-  let balancer = Core.Rotor_router.make g ~self_loops:4 in
-  let init = Core.Loads.point_mass ~n ~total:(1000 * n) in
-  let steps = 4 in
+let check_run_allocation ~graph ~balancer ~init ~steps =
+  let n = Graphs.Graph.n graph in
   Gc.full_major ();
   let before = Gc.allocated_bytes () in
-  let r = Core.Engine.run ~graph:g ~balancer ~init ~steps () in
+  let r = Core.Engine.run ~graph ~balancer ~init ~steps () in
   Gc.minor ();
   let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
-  check_int "mass conserved" (1000 * n) (Core.Loads.total r.Core.Engine.final_loads);
+  check_int "mass conserved" (Core.Loads.total init)
+    (Core.Loads.total r.Core.Engine.final_loads);
   let budget = n + (n / 2) + 256 in
   check_bool
     (Printf.sprintf "%.0f words allocated, budget 1.5 n + 256 = %d" words budget)
     true
     (words <= float_of_int budget)
+
+(* A point mass of 1000·n keeps 32-bit slots for 4 rounds. *)
+let test_run_allocation () =
+  let g = Graphs.Gen.torus [ 64; 64 ] in
+  let n = Graphs.Graph.n g in
+  check_run_allocation ~graph:g ~balancer:(Core.Rotor_router.make g ~self_loops:4)
+    ~init:(Core.Loads.point_mass ~n ~total:(1000 * n))
+    ~steps:4
 
 (* Every balancer family of Table 1, each with a view of its mutable
    state after the run: the persisted per-node state, the position of a
@@ -500,12 +505,17 @@ let kernel_of b =
   | None -> Alcotest.fail "default-order rotor-router has no kernel"
   | Some k -> k
 
-(* Adds [x] to node [v]'s slot of a packed accumulator. *)
+(* Adds [x] to node [v]'s 32-bit, or 16-bit, slot of a packed
+   accumulator. *)
 let acc_add acc v x =
   let o = v lsl 2 in
-  Core.Acc32.set acc o (Int32.add (Core.Acc32.get acc o) (Int32.of_int x))
+  Core.Acc.set acc o (Int32.add (Core.Acc.get acc o) (Int32.of_int x))
 
-(* A kernel whose two variants both corrupt the round after the real
+let acc_add16 acc v x =
+  let o = v lsl 1 in
+  Core.Acc.set16 acc o (Core.Acc.get16 acc o + x)
+
+(* A kernel whose three variants all corrupt the round after the real
    one ran, installed through the public field with the same
    [reproduces], so the engine runs it.  [corrupt ~adj add] makes its
    change through [add v x], which adds [x] to node [v]'s next load in
@@ -522,13 +532,22 @@ let with_corrupt_kernel b corrupt =
     corrupt ~adj (acc_add acc);
     moved
   in
-  { b with Core.Balancer.kernel = Some { k with Core.Balancer.round; round_packed } }
+  let round_packed16 ~step ~adj cur acc =
+    let moved = k.Core.Balancer.round_packed16 ~step ~adj cur acc in
+    corrupt ~adj (acc_add16 acc);
+    moved
+  in
+  {
+    b with
+    Core.Balancer.kernel = Some { k with Core.Balancer.round; round_packed; round_packed16 };
+  }
 
-(* A kernel that counts the rounds each variant ran.  A balancer with
-   no kernel is returned as it is, and its counts stay (0, 0). *)
+(* A kernel that counts the rounds each variant ran, as (int, 32-bit,
+   16-bit).  A balancer with no kernel is returned as it is, and its
+   counts stay (0, 0, 0). *)
 let with_counting_kernel b =
-  let ints = ref 0 and packed = ref 0 in
-  let counts () = (!ints, !packed) in
+  let ints = ref 0 and packed = ref 0 and packed16 = ref 0 in
+  let counts () = (!ints, !packed, !packed16) in
   match b.Core.Balancer.kernel with
   | None -> (b, counts)
   | Some k ->
@@ -540,45 +559,113 @@ let with_counting_kernel b =
       incr packed;
       k.Core.Balancer.round_packed ~step ~adj cur acc
     in
-    ({ b with Core.Balancer.kernel = Some { k with Core.Balancer.round; round_packed } }, counts)
+    let round_packed16 ~step ~adj cur acc =
+      incr packed16;
+      k.Core.Balancer.round_packed16 ~step ~adj cur acc
+    in
+    ( {
+        b with
+        Core.Balancer.kernel = Some { k with Core.Balancer.round; round_packed; round_packed16 };
+      },
+      counts )
 
-(* The same corruptions on both paths of [run]: a total of 320 takes the
-   packed one, a total of 2³² the int one. *)
+let check_paths label = Alcotest.(check (triple int int int)) (label ^ ": rounds (int, 32, 16)")
+
+(* The same corruptions on all three paths of [run]: 20 tokens a node
+   take the 16-bit one, 2²⁰ (total 2²⁴) the 32-bit one and 2²⁸ (total
+   2³²) the int one; a broken round is the first and only one. *)
 let test_broken_kernel_caught () =
   let g = Graphs.Gen.torus [ 4; 4 ] in
   let outcome ~per_node corrupt =
-    let balancer = with_corrupt_kernel (Core.Rotor_router.make g ~self_loops:4) corrupt in
-    try
-      ignore (Core.Engine.run ~graph:g ~balancer ~init:(Array.make 16 per_node) ~steps:5 ());
-      None
-    with Core.Engine.Invariant_violation m -> Some m
+    let balancer, counts =
+      with_counting_kernel (with_corrupt_kernel (Core.Rotor_router.make g ~self_loops:4) corrupt)
+    in
+    let m =
+      try
+        ignore (Core.Engine.run ~graph:g ~balancer ~init:(Array.make 16 per_node) ~steps:5 ());
+        None
+      with Core.Engine.Invariant_violation m -> Some m
+    in
+    (m, counts ())
   in
   let drop ~adj:_ add = add 0 (-1) in
   (* Node 0 sends q = load / 8 tokens on port 0, so the extra 2 doubles
      that scatter at load 20. *)
   let double ~adj add = add adj.(0) 2 in
   let conserve ~adj:_ _ = () in
-  Alcotest.(check (option string))
-    "drop one token"
-    (Some "rotor-router(d°=4): step 1 changed the token total from 320 to 319")
-    (outcome ~per_node:20 drop);
-  Alcotest.(check (option string))
-    "double one scatter"
-    (Some "rotor-router(d°=4): step 1 changed the token total from 320 to 322")
-    (outcome ~per_node:20 double);
-  Alcotest.(check (option string)) "the real kernel conserves" None
-    (outcome ~per_node:20 conserve);
+  let caught label ~per_node ~path corrupt expected =
+    let m, counts = outcome ~per_node corrupt in
+    Alcotest.(check (option string)) label expected m;
+    check_paths label path counts
+  in
+  let total = Printf.sprintf "rotor-router(d°=4): step 1 changed the token total from %s to %s" in
+  caught "drop one token, 16-bit path" ~per_node:20 ~path:(0, 0, 1) drop
+    (Some (total "320" "319"));
+  caught "double one scatter, 16-bit path" ~per_node:20 ~path:(0, 0, 1) double
+    (Some (total "320" "322"));
+  caught "the real kernel conserves, 16-bit path" ~per_node:20 ~path:(0, 0, 5) conserve None;
+  let wide = 1 lsl 20 in
+  caught "drop one token, 32-bit path" ~per_node:wide ~path:(0, 1, 0) drop
+    (Some (total "16777216" "16777215"));
+  caught "one extra scatter, 32-bit path" ~per_node:wide ~path:(0, 1, 0) double
+    (Some (total "16777216" "16777218"));
+  caught "the real kernel conserves, 32-bit path" ~per_node:wide ~path:(0, 5, 0) conserve None;
   let big = 1 lsl 28 in
+  caught "drop one token, int path" ~per_node:big ~path:(1, 0, 0) drop
+    (Some (total "4294967296" "4294967295"));
+  caught "one extra scatter, int path" ~per_node:big ~path:(1, 0, 0) double
+    (Some (total "4294967296" "4294967298"));
+  caught "the real kernel conserves, int path" ~per_node:big ~path:(5, 0, 0) conserve None
+
+(* The 16-bit guard rests on round-fairness.  A planted kernel that
+   breaks it, each node sending all of its load on its one port to
+   node 0 of K₅ (node 0 on its port 0), gives node 0 4 · 20 000 tokens
+   in a 16-bit round: the slot wraps to 80 000 − 2¹⁶, and the round's
+   total check raises in that round. *)
+let test_unfair_kernel_caught () =
+  let g = Graphs.Gen.complete 5 in
+  let b = Core.Rotor_router.make g ~self_loops:4 in
+  let k = kernel_of b in
+  let d = Graphs.Graph.degree g in
+  let all_on_one_port ~step:_ ~adj cur acc =
+    let moved = ref 0 in
+    Array.iteri
+      (fun u x ->
+        let port = ref 0 in
+        for j = 0 to d - 1 do
+          if adj.((u * d) + j) = 0 then port := j
+        done;
+        acc_add16 acc adj.((u * d) + !port) x;
+        moved := !moved + x)
+      cur;
+    !moved
+  in
+  let balancer, counts =
+    with_counting_kernel
+      {
+        b with
+        Core.Balancer.kernel = Some { k with Core.Balancer.round_packed16 = all_on_one_port };
+      }
+  in
+  let m =
+    match Core.Engine.run ~graph:g ~balancer ~init:(Array.make 5 20_000) ~steps:3 () with
+    | _ -> None
+    | exception Core.Engine.Invariant_violation m -> Some m
+  in
   Alcotest.(check (option string))
-    "drop one token, int path"
-    (Some "rotor-router(d°=4): step 1 changed the token total from 4294967296 to 4294967295")
-    (outcome ~per_node:big drop);
-  Alcotest.(check (option string))
-    "one extra scatter, int path"
-    (Some "rotor-router(d°=4): step 1 changed the token total from 4294967296 to 4294967298")
-    (outcome ~per_node:big double);
-  Alcotest.(check (option string)) "the real kernel conserves, int path" None
-    (outcome ~per_node:big conserve)
+    "wrapped slot caught"
+    (Some "rotor-router(d°=4): step 1 changed the token total from 100000 to 34464")
+    m;
+  check_paths "unfair kernel" (0, 0, 1) (counts ())
+
+(* A balanced start, 1000 tokens a node, takes 16-bit slots from round
+   1, and they are the first half of the same buffer: the budget of the
+   32-bit run holds. *)
+let test_run_allocation16 () =
+  let g = Graphs.Gen.torus [ 64; 64 ] in
+  let balancer, counts = with_counting_kernel (Core.Rotor_router.make g ~self_loops:4) in
+  check_run_allocation ~graph:g ~balancer ~init:(Array.make (Graphs.Graph.n g) 1000) ~steps:4;
+  check_paths "balanced start" (0, 0, 4) (counts ())
 
 (* A random instance for the differential property: a random regular
    graph of degree 3 to 9, up to two groups of four ports and a leftover,
@@ -619,7 +706,7 @@ let rotor_state b =
   | Some p -> p.Core.Balancer.state_save ()
   | None -> Alcotest.fail "rotor-router without persistence"
 
-(* Every single-node round of both kernel variants against [assign]'s
+(* Every single-node round of the three kernel variants against [assign]'s
    ports, for d⁺ ∈ {2, 3, 8, 16} with d° ∈ {0, d}, for d ∈ {5, 6, 7},
    which leave 1, 2 and 3 ports after a group of four, and for d = 31
    with d⁺ = 64, the largest window table: every rotor r < d⁺ and every
@@ -661,9 +748,14 @@ let test_kernel_table () =
               let moved = k.Core.Balancer.round ~step:1 ~adj cur next in
               (next, moved));
           check "round_packed" (fun k ->
-              let acc = Core.Acc32.create n in
+              let acc = Core.Acc.create n in
               let moved = k.Core.Balancer.round_packed ~step:1 ~adj cur acc in
-              let slot v = Int32.to_int (Core.Acc32.get acc (v lsl 2)) in
+              let slot v = Int32.to_int (Core.Acc.get acc (v lsl 2)) in
+              (Array.init n slot, moved));
+          check "round_packed16" (fun k ->
+              let acc = Core.Acc.create n in
+              let moved = k.Core.Balancer.round_packed16 ~step:1 ~adj cur acc in
+              let slot v = Core.Acc.get16 acc (v lsl 1) in
               (Array.init n slot, moved))
         done
       done)
@@ -671,7 +763,7 @@ let test_kernel_table () =
   Alcotest.(check (list string)) "rounds that differ from assign" [] (List.rev !failures)
 
 (* Loads, an adjacency or an accumulator of another shape are refused
-   with [Invalid_argument] before any rotor moves, by both variants: the
+   with [Invalid_argument] before any rotor moves, by every variant: the
    kernel's one shape check per round is what lets its reads of the
    loads, the rotors and the adjacency go unchecked. *)
 let test_kernel_shape_check () =
@@ -689,13 +781,20 @@ let test_kernel_shape_check () =
   in
   let round ~adj cur k = k.Core.Balancer.round ~step:1 ~adj cur (Array.make n 0) in
   let packed ~adj ~slots cur k =
-    k.Core.Balancer.round_packed ~step:1 ~adj cur (Core.Acc32.create slots)
+    k.Core.Balancer.round_packed ~step:1 ~adj cur (Core.Acc.create slots)
+  in
+  (* [Acc.create m] holds 2m 16-bit slots. *)
+  let packed16 ~adj ~slots cur k =
+    k.Core.Balancer.round_packed16 ~step:1 ~adj cur (Core.Acc.create slots)
   in
   refused "round, n - 1 loads" (round ~adj (loads (n - 1)));
   refused "round, another graph's adjacency" (round ~adj:other (loads n));
   refused "round_packed, n - 1 loads" (packed ~adj ~slots:n (loads (n - 1)));
   refused "round_packed, another graph's adjacency" (packed ~adj:other ~slots:20 (loads n));
-  refused "round_packed, n - 1 slots" (packed ~adj ~slots:(n - 1) (loads n))
+  refused "round_packed, n - 1 slots" (packed ~adj ~slots:(n - 1) (loads n));
+  refused "round_packed16, n - 1 loads" (packed16 ~adj ~slots:n (loads (n - 1)));
+  refused "round_packed16, another graph's adjacency" (packed16 ~adj:other ~slots:20 (loads n));
+  refused "round_packed16, n - 2 16-bit slots" (packed16 ~adj ~slots:((n / 2) - 1) (loads n))
 
 (* What a run leaves, for comparing the kernel's paths with the
    Tap-forced generic one. *)
@@ -728,7 +827,7 @@ let test_no_kernel_past_table () =
       in
       check_bool (label ^ ": no kernel") true (Option.is_none (make ()).Core.Balancer.kernel);
       let counts = same_as_generic ~label ~steps:20 ~graph:g ~make init in
-      Alcotest.(check (pair int int)) (label ^ ": kernel rounds") (0, 0) counts;
+      check_paths label (0, 0, 0) counts;
       let b = make () and ref_b = make () in
       let r = Core.Engine.run ~graph:g ~balancer:b ~init ~steps:20 () in
       let ref_loads = Core.Engine_ref.run ~graph:g ~balancer:ref_b ~init ~steps:20 in
@@ -748,31 +847,55 @@ let test_guard_falls_back () =
   let make () =
     Core.Rotor_router.make g ~self_loops:4 ~init_rotor:(fun u -> (5 * u) mod 8)
   in
-  let ints, packed = same_as_generic ~label:"total 2^32" ~steps:30 ~graph:g ~make init in
-  check_int "int rounds" 30 ints;
-  check_int "packed rounds" 0 packed
+  check_paths "total 2^32" (30, 0, 0)
+    (same_as_generic ~label:"total 2^32" ~steps:30 ~graph:g ~make init)
 
-(* A hook that lifts the total past 2³¹ - 1 after round 3 and cuts it
-   back after round 8 switches paths twice; the run stays bit-identical.
-   A hook that leaves a negative load sends the next round to the int
-   kernel, which raises as [assign] does. *)
+(* A hook that lifts the largest load past 2¹⁶ - 8 after round 2, the
+   total past 2³¹ - 1 after round 6, and cuts the loads back after
+   rounds 10 and 12 moves the run through every switch between the three
+   paths: rounds 1-2 take 16 bits, 3-4 32 (the largest load is 65 560
+   after round 3), 5-6 16, 7-10 the int vector, 11-12 32 and 13-16 16
+   bits; the run stays bit-identical.  A hook that leaves a negative load sends the next
+   round to the int kernel, which raises as [assign] does. *)
 let test_guard_switches_mid_run () =
   let g = Graphs.Gen.torus [ 4; 4 ] in
   let init = Array.init 16 (fun u -> 20 + u) in
   let make () = Core.Rotor_router.make g ~self_loops:4 in
   let hook t loads =
-    if t = 3 then loads.(5) <- loads.(5) + (1 lsl 31);
-    if t = 8 then Array.iteri (fun u x -> loads.(u) <- x / 1024) loads
+    if t = 2 then loads.(5) <- loads.(5) + (1 lsl 17);
+    if t = 6 then loads.(5) <- loads.(5) + (1 lsl 31);
+    if t = 10 then Array.iteri (fun u x -> loads.(u) <- x / 1024) loads;
+    if t = 12 then Array.iteri (fun u x -> loads.(u) <- x / 64) loads
   in
-  let ints, packed = same_as_generic ~label:"lift and cut" ~steps:12 ~hook ~graph:g ~make init in
-  check_int "int rounds" 5 ints;
-  check_int "packed rounds" 7 packed;
+  check_paths "lift and cut" (4, 4, 8)
+    (same_as_generic ~label:"lift and cut" ~steps:16 ~hook ~graph:g ~make init);
   let balancer, counts = with_counting_kernel (make ()) in
   let hook t loads = if t = 2 then loads.(3) <- -1 in
   (match Core.Engine.run ~hook ~graph:g ~balancer ~init ~steps:5 () with
   | _ -> Alcotest.fail "negative load not raised"
   | exception Invalid_argument _ -> ());
-  Alcotest.(check (pair int int)) "rounds by path (int, packed)" (1, 2) (counts ())
+  check_paths "negative load" (1, 0, 2) (counts ())
+
+(* The 16-bit guard at its edge: on a 16×16 torus with d⁺ = 8 a point
+   mass of 65 528 has max + d⁺ = 2¹⁶ and takes 16-bit slots from round
+   1; one token more takes 32-bit slots in round 1 and 16-bit ones once
+   it has spread.  Both runs match the Tap-forced generic path and
+   [Engine_ref]. *)
+let test_guard_edge16 () =
+  let g = Graphs.Gen.torus [ 16; 16 ] in
+  let n = Graphs.Graph.n g and steps = 8 in
+  List.iter
+    (fun (total, path) ->
+      let label = Printf.sprintf "point mass %d" total in
+      let init = Core.Loads.point_mass ~n ~total in
+      let make () = Core.Rotor_router.make g ~self_loops:4 in
+      check_paths label path (same_as_generic ~label ~steps ~graph:g ~make init);
+      let b = make () and ref_b = make () in
+      let r = Core.Engine.run ~graph:g ~balancer:b ~init ~steps () in
+      let ref_loads = Core.Engine_ref.run ~graph:g ~balancer:ref_b ~init ~steps in
+      check_bool (label ^ ": same as Engine_ref") true
+        ((r.Core.Engine.final_loads, rotor_state b) = (ref_loads, rotor_state ref_b)))
+    [ (65_528, (0, 0, steps)); (65_529, (0, 1, steps - 1)) ]
 
 (* Cumulative probe tokens_moved per snapshot, collected with probes
    on at cadence 1 (or [||] with probes off). *)
@@ -875,6 +998,8 @@ let () =
           Alcotest.test_case "step allocation" `Quick test_step_allocation;
           Alcotest.test_case "step_into allocation" `Quick test_step_into_allocation;
           Alcotest.test_case "run allocation" `Quick test_run_allocation;
+          Alcotest.test_case "run allocation, 16-bit rounds" `Quick
+            test_run_allocation16;
         ] );
       ( "rotor kernel",
         [
@@ -886,6 +1011,9 @@ let () =
             test_no_kernel_past_table;
           Alcotest.test_case "guard falls back at 2^32" `Quick test_guard_falls_back;
           Alcotest.test_case "guard switches mid-run" `Quick test_guard_switches_mid_run;
+          Alcotest.test_case "16-bit guard edge" `Quick test_guard_edge16;
+          Alcotest.test_case "unfair kernel caught in a 16-bit round" `Quick
+            test_unfair_kernel_caught;
           QCheck_alcotest.to_alcotest prop_kernel_matches_generic;
           QCheck_alcotest.to_alcotest prop_kernel_negative_load;
         ] );
