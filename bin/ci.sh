@@ -155,6 +155,29 @@ if [ "$wl" != "$wl2" ]; then
   exit 1
 fi
 
+echo "== kernel smoke: open-system kernel rounds match the per-node loop =="
+# An open system's plain stepper runs Core.Engine.step_into, whose rotor
+# kernel picks each round between a loop that skips empty nodes and a
+# dense one, from the last round's empty count (DESIGN.md §12.1).  Its
+# first round skips; the arrivals at 90% of capacity then keep roughly
+# a third of the nodes empty, which takes the dense loop, and the burst
+# piles 20000 tokens on one node.  --drop 0 sends the same run through
+# Net.Async_engine's per-node assign, which the kernel does not touch:
+# the final loads must be byte-identical.
+open_dir=$(mktemp -d -t lb_ci_open.XXXXXX)
+open_run() {
+  dune exec bin/lb_sim.exe -- --graph torus:64x64 --init point:0 --steps 200 \
+    --arrivals uniform --arrival-rate 7372.8 --lifetime service:2 \
+    --burst 20000@50:node=7 "$@" > /dev/null
+}
+open_run --dump-loads "$open_dir/loads"
+open_run --drop 0 --dump-loads "$open_dir/loads.net"
+cmp "$open_dir/loads" "$open_dir/loads.net" || {
+  echo "open-system kernel rounds diverged from the per-node loop" >&2
+  exit 1
+}
+rm -rf "$open_dir"
+
 echo "== workload smoke: quick E17 reproduces the stability shape =="
 # run_workload_sweep exits non-zero unless: bounded+conserved below
 # capacity, lambda-monotone steady band, divergence detected above.

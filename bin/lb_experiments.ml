@@ -1,5 +1,5 @@
-(* lb_experiments: run the paper-reproduction experiment suite (E1–E10,
-   DESIGN.md §4) from the command line.
+(* lb_experiments: run the paper-reproduction experiment suite
+   (Harness.Suite, DESIGN.md §4) from the command line.
 
    Examples:
      lb_experiments                 # everything, full size
@@ -11,7 +11,7 @@ open Cmdliner
 
 let run quick csv ids =
   let ids =
-    match ids with [] -> List.map (fun e -> e.Harness.Suite.id) Harness.Suite.all | l -> l
+    match ids with [] -> Harness.Suite.ids | l -> l
   in
   let rows = ref [] in
   let ok = ref true in
@@ -43,7 +43,12 @@ let csv_arg =
     & info [ "csv" ] ~docv:"PATH" ~doc:"Write all experiment rows to a CSV file.")
 
 let ids_arg =
-  Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (e1..e10).")
+  (* Built from the registry, so it lists every experiment there is. *)
+  let doc =
+    Printf.sprintf "Experiment ids, any of %s; none runs them all."
+      (String.concat ", " Harness.Suite.ids)
+  in
+  Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
 
 let cmd =
   let doc = "reproduce the tables and theorem shapes of Berenbrink et al. (PODC 2015)" in

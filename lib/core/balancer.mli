@@ -54,7 +54,11 @@ type kernel = {
       [next.(u)].  [next] holds zeros on entry.  Returns the tokens sent
       over original ports.  Raises [Invalid_argument] before any state
       changes when [cur] or [adj] does not have the shape of the graph
-      the balancer was made for. *)
+      the balancer was made for.  A kernel may keep hints across calls
+      that choose only how a round is computed, never what it computes:
+      {!Rotor_router}'s picks each round, from the last round's count of
+      empty nodes, a loop that skips them or one that runs them through
+      with zero sends. *)
   round_packed : step:int -> adj:int array -> int array -> Acc.t -> int;
   (** [round_packed ~step ~adj cur acc] is [round] with [acc] as the
       scatter target: a zeroed {!Acc} accumulator with one 32-bit slot
@@ -62,8 +66,10 @@ type kernel = {
       are written unchecked).  The state updates, exceptions and return
       value are [round]'s, and so is the shape check, which here also
       raises [Invalid_argument], before any state changes, when [acc]
-      has fewer 32-bit slots than [cur] has nodes; the two differ only
-      in where they add.
+      has fewer 32-bit slots than [cur] has nodes.  Besides where it
+      adds, it may differ from [round] only in how it computes the
+      round, as {!Rotor_router}'s does by skipping empty nodes in every
+      round.
       {!Engine.run} calls it only in a round where no load of [cur] is
       negative and their total is at most {!Acc.max_slot}, so no slot
       can overflow, and drains [acc] back to zeros after it.

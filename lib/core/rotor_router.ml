@@ -31,6 +31,52 @@ let validate_order ~d_plus order =
     order;
   order
 
+(* One node of the int kernel round below, loaded or, in a dense round,
+   empty (x = 0 gives q = e = 0: zero adds and an unmoved rotor): its
+   sends scattered into [next], its kept tokens added to [next.(u)] and
+   its rotor advanced; returns the tokens it sent over original ports.
+   Closed, so that it is inlined into both of [round]'s loops; the
+   arguments are [make]'s table and rotors and the round's vectors.
+   [round] calls it only past its shape check, for u < n, which is what
+   makes the unchecked accesses below safe. *)
+let[@inline] int_node ~d ~dp ~d4 ~win ~rotor ~adj next u x =
+  let q = if x < 2 * dp then 1 + ((x - dp) asr 62) else x / dp in
+  let e = x - (q * dp) in
+  (* u < n = length rotor *)
+  let r = Array.unsafe_get rotor u in
+  let t = win.((r * dp) + e) in
+  let sent = (q * d) + (t lsr 32) in
+  let base = u * d in
+  let stop = base + d4 and k = ref base and m = ref t in
+  while !k < stop do
+    let k0 = !k and t = !m in
+    (* k0 + 3 < base + d <= n·d = length adj *)
+    let v = Array.unsafe_get adj k0 in
+    next.(v) <- next.(v) + q + (t land 1);
+    (* k0 + 1 < length adj, as above *)
+    let v = Array.unsafe_get adj (k0 + 1) in
+    next.(v) <- next.(v) + q + ((t lsr 1) land 1);
+    (* k0 + 2 < length adj, as above *)
+    let v = Array.unsafe_get adj (k0 + 2) in
+    next.(v) <- next.(v) + q + ((t lsr 2) land 1);
+    (* k0 + 3 < length adj, as above *)
+    let v = Array.unsafe_get adj (k0 + 3) in
+    next.(v) <- next.(v) + q + ((t lsr 3) land 1);
+    k := k0 + 4;
+    m := t lsr 4
+  done;
+  for k = stop to base + d - 1 do
+    (* k < base + d <= n·d = length adj *)
+    let v = Array.unsafe_get adj k in
+    next.(v) <- next.(v) + q + (!m land 1);
+    m := !m lsr 1
+  done;
+  let r' = r + e - dp in
+  (* u < n = length rotor *)
+  Array.unsafe_set rotor u (r' + (dp land (r' asr 62)));
+  next.(u) <- next.(u) + x - sent;
+  sent
+
 let make ?order ?init_rotor g ~self_loops =
   if self_loops < 0 then invalid_arg "Rotor_router.make: self_loops < 0";
   let d = Graphs.Graph.degree g in
@@ -128,59 +174,58 @@ let make ?order ?init_rotor g ~self_loops =
           invalid_arg "Rotor_router: kernel round on loads or an adjacency of another graph";
         n
       in
-      (* An empty node is skipped, so the first rounds after a point
-         mass, when most nodes are empty, skip their d adds. *)
+      (* [round] counts the empty nodes of its loads, and the next
+         [round] picks from that count one of two loops.  Skipping an
+         empty node saves its d zero adds but costs a mispredicted
+         branch wherever empty and loaded nodes mix, as after the
+         departures of an open system.  The dense loop runs an empty
+         node through [int_node] too, with no branch on the load.  The
+         skip wins when its branch is predictable (nearly all nodes
+         empty, as after a point mass, or nearly all loaded) or when d
+         zero adds cost more than a mispredict, so a round is dense iff
+         d·e ≤ K·min(e, n − e), e being the last round's empty count
+         and K = [dense_gain] (DESIGN.md §12.1 has the table).  A first
+         round counts as all empty, so it skips.  In both loops a
+         negative load raises at its node, before that node's rotor
+         moves.  The loops are two rather than one loop testing
+         (dense && x >= 0) || x > 0 because the extra live test
+         spilled the loop counter, which cost the skip loop 10–30% on
+         the rounds after a point mass. *)
+      let dense_gain = 5 in
+      let empties = ref (Graphs.Graph.n g) in
       let round ~step:_ ~adj cur next =
         let n = check_shape ~adj cur in
-        let moved = ref 0 in
-        for u = 0 to n - 1 do
-          (* u < n = length cur *)
-          let x = Array.unsafe_get cur u in
-          if x > 0 then begin
-            let q = if x < 2 * dp then 1 + ((x - dp) asr 62) else x / dp in
-            let e = x - (q * dp) in
-            (* u < n = length rotor *)
-            let r = Array.unsafe_get rotor u in
-            let t = win.((r * dp) + e) in
-            let sent = (q * d) + (t lsr 32) in
-            let base = u * d in
-            let stop = base + d4 and k = ref base and m = ref t in
-            while !k < stop do
-              let k0 = !k and t = !m in
-              (* k0 + 3 < base + d <= n·d = length adj *)
-              let v = Array.unsafe_get adj k0 in
-              next.(v) <- next.(v) + q + (t land 1);
-              (* k0 + 1 < length adj, as above *)
-              let v = Array.unsafe_get adj (k0 + 1) in
-              next.(v) <- next.(v) + q + ((t lsr 1) land 1);
-              (* k0 + 2 < length adj, as above *)
-              let v = Array.unsafe_get adj (k0 + 2) in
-              next.(v) <- next.(v) + q + ((t lsr 2) land 1);
-              (* k0 + 3 < length adj, as above *)
-              let v = Array.unsafe_get adj (k0 + 3) in
-              next.(v) <- next.(v) + q + ((t lsr 3) land 1);
-              k := k0 + 4;
-              m := t lsr 4
-            done;
-            for k = stop to base + d - 1 do
-              (* k < base + d <= n·d = length adj *)
-              let v = Array.unsafe_get adj k in
-              next.(v) <- next.(v) + q + (!m land 1);
-              m := !m lsr 1
-            done;
-            let r' = r + e - dp in
-            (* u < n = length rotor *)
-            Array.unsafe_set rotor u (r' + (dp land (r' asr 62)));
-            moved := !moved + sent;
-            next.(u) <- next.(u) + x - sent
-          end
-          else if x < 0 then negative_load ()
-        done;
+        let last = !empties in
+        let moved = ref 0 and loaded = ref 0 in
+        if d * last <= dense_gain * Int.min last (n - last) then
+          for u = 0 to n - 1 do
+            (* u < n = length cur *)
+            let x = Array.unsafe_get cur u in
+            if x >= 0 then begin
+              (* 1 + (x - 1) asr 62 is 0 at x = 0 and 1 above. *)
+              loaded := !loaded + 1 + ((x - 1) asr 62);
+              moved := !moved + int_node ~d ~dp ~d4 ~win ~rotor ~adj next u x
+            end
+            else negative_load ()
+          done
+        else
+          for u = 0 to n - 1 do
+            (* u < n = length cur *)
+            let x = Array.unsafe_get cur u in
+            if x > 0 then begin
+              incr loaded;
+              moved := !moved + int_node ~d ~dp ~d4 ~win ~rotor ~adj next u x
+            end
+            else if x < 0 then negative_load ()
+          done;
+        empties := n - !loaded;
         !moved
       in
-      (* [round] with the adds into [next] made into [acc]'s 32-bit
-         slots instead.  Copied rather than shared through a scatter
-         closure, which would cost a call per port. *)
+      (* [round]'s skip loop with the adds into [next] made into
+         [acc]'s 32-bit slots instead.  It skips in every round: the
+         dense loop was calibrated on [step_into]'s rounds only.  Copied
+         rather than shared through a scatter closure, which would cost
+         a call per port. *)
       let round_packed ~step:_ ~adj cur acc =
         let n = check_shape ~adj cur in
         if Acc.length acc < n then

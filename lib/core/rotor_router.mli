@@ -46,9 +46,15 @@ val make :
     and their count.  Per node it makes one lookup, sends
     q + (bit k) on original port k, and keeps x − (q·d + count).
     Its [round], [round_packed] and [round_packed16] are one loop
-    written three times, differing only in their adds (into an int
-    vector, into {!Acc}'s 32-bit slots, and into its 16-bit slots as
-    plain ints); all skip empty nodes.  The kernel is round-fair: every
+    written three times, with their adds into an int vector, into
+    {!Acc}'s 32-bit slots, and into its 16-bit slots as plain ints.
+    The packed two skip empty nodes.  [round], which
+    {!Engine.step_into} runs, picks one of two loops each round from
+    the last round's count e of empty nodes: one runs them through the
+    node's body with zero sends, when d·e ≤ 5·min(e, n − e) and a skip
+    would mostly mispredict; the other skips them, a first round
+    included.  The choice changes no load, rotor or exception.  The
+    kernel is round-fair: every
     port gets ⌊x/d⁺⌋ or ⌈x/d⁺⌉ tokens.  Each variant checks
     the shapes once per round, before any rotor moves, and raises
     [Invalid_argument] when the loads are not one per node of [g], the

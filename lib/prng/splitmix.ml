@@ -65,12 +65,28 @@ let add_uniform g a c =
   if c > 0 then begin
     if bound <= 0 then invalid_arg "Splitmix.add_uniform: empty array";
     let s = ref (Bytes.get_int64_ne g 0) in
-    if bound land (bound - 1) = 0 then
-      for _ = 1 to c do
+    if bound land (bound - 1) = 0 then begin
+      (* Two tokens an iteration: the second draw's mix does not wait
+         on the first token's add.  A second token at the same node
+         reads the first one's store, so the order of adds is kept. *)
+      let mask = bound - 1 in
+      for _ = 1 to c lsr 1 do
+        let s1 = Int64.add !s golden_gamma in
+        let s2 = Int64.add s1 golden_gamma in
+        s := s2;
+        let u1 = Int64.to_int (Int64.shift_right_logical (mix64 s1) 2) land mask in
+        let u2 = Int64.to_int (Int64.shift_right_logical (mix64 s2) 2) land mask in
+        (* u1, u2 <= mask < bound = length a *)
+        Array.unsafe_set a u1 (Array.unsafe_get a u1 + 1);
+        Array.unsafe_set a u2 (Array.unsafe_get a u2 + 1)
+      done;
+      if c land 1 = 1 then begin
         s := Int64.add !s golden_gamma;
-        let u = Int64.to_int (Int64.shift_right_logical (mix64 !s) 2) land (bound - 1) in
-        a.(u) <- a.(u) + 1
-      done
+        let u = Int64.to_int (Int64.shift_right_logical (mix64 !s) 2) land mask in
+        (* u <= mask < bound = length a *)
+        Array.unsafe_set a u (Array.unsafe_get a u + 1)
+      end
+    end
     else begin
       let mask = 0x3FFF_FFFF_FFFF_FFFF in
       for _ = 1 to c do
@@ -129,11 +145,33 @@ let knuth_count g ~leaves l =
     let p = ref 1.0 in
     let running = ref true in
     while !running do
-      s := Int64.add !s golden_gamma;
-      (* 2⁻⁵³ is a power of two, so this product is [float]'s division. *)
-      let bits = Int64.to_int (Int64.shift_right_logical (mix64 !s) 11) in
-      p := !p *. (float_of_int bits *. 0x1p-53);
-      if !p <= l then running := false else incr k
+      (* The next two uniforms are mixed before either is multiplied
+         in, so the second mix overlaps the first product and its test.
+         The state advances only past the draws used: a leaf that stops
+         at the first one drops the second, which the next leaf draws
+         again.  2⁻⁵³ is a power of two, so each product by it is
+         [float]'s division. *)
+      let s1 = Int64.add !s golden_gamma in
+      let s2 = Int64.add s1 golden_gamma in
+      let u1 = float_of_int (Int64.to_int (Int64.shift_right_logical (mix64 s1) 11)) *. 0x1p-53 in
+      let u2 = float_of_int (Int64.to_int (Int64.shift_right_logical (mix64 s2) 11)) *. 0x1p-53 in
+      let p1 = !p *. u1 in
+      if p1 <= l then begin
+        s := s1;
+        running := false
+      end
+      else begin
+        s := s2;
+        let p2 = p1 *. u2 in
+        if p2 <= l then begin
+          incr k;
+          running := false
+        end
+        else begin
+          k := !k + 2;
+          p := p2
+        end
+      end
     done
   done;
   Bytes.set_int64_ne g 0 !s;

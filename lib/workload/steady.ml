@@ -40,11 +40,49 @@ let int_percentile ~min ~max xs p =
     (* Counting pass over [min, max], walked down from the top: index i
        of the ascending order holds value v iff
        n − #{≥ v} ≤ i < n − #{> v}.  A high percentile stops early. *)
-    let count = Array.make (range + 1) 0 in
-    for u = 0 to n - 1 do
-      let v = xs.(u) - min in
-      count.(v) <- count.(v) + 1
-    done;
+    let count =
+      if range < 64 then begin
+        (* Neighbouring nodes hold the same few values, so one tally
+           chains each add through the store of the add before.  Four
+           tallies, node u's in slot 4v + u mod 4, break the chain.
+           Up to range 63 they fit one minor-heap block (≤ 256 words);
+           wider, they would be allocated in the major heap, so wider
+           ranges keep one tally.  The four are summed in place: slot v
+           takes slots 4v..4v + 3, and no later sum reads slot v. *)
+        let tally = Array.make (4 * (range + 1)) 0 in
+        let n4 = n land lnot 3 in
+        let u = ref 0 in
+        while !u < n4 do
+          let i = !u in
+          let v = 4 * (xs.(i) - min) in
+          tally.(v) <- tally.(v) + 1;
+          let v = (4 * (xs.(i + 1) - min)) + 1 in
+          tally.(v) <- tally.(v) + 1;
+          let v = (4 * (xs.(i + 2) - min)) + 2 in
+          tally.(v) <- tally.(v) + 1;
+          let v = (4 * (xs.(i + 3) - min)) + 3 in
+          tally.(v) <- tally.(v) + 1;
+          u := i + 4
+        done;
+        for i = n4 to n - 1 do
+          let v = 4 * (xs.(i) - min) in
+          tally.(v) <- tally.(v) + 1
+        done;
+        for v = 0 to range do
+          let t = 4 * v in
+          tally.(v) <- tally.(t) + tally.(t + 1) + tally.(t + 2) + tally.(t + 3)
+        done;
+        tally
+      end
+      else begin
+        let count = Array.make (range + 1) 0 in
+        for u = 0 to n - 1 do
+          let v = xs.(u) - min in
+          count.(v) <- count.(v) + 1
+        done;
+        count
+      end
+    in
     let above = ref 0 and v = ref range and need_b = ref true in
     while !v >= 0 do
       let first = n - !above - count.(!v) in

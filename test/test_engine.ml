@@ -974,6 +974,80 @@ let prop_kernel_negative_load =
       if not ok then QCheck.Test.fail_reportf "seed %d: paths disagree" seed;
       ok)
 
+(* [step_into]'s kernel round picks the empty-node skip or a dense
+   round from the empty count of the round before.  On an 8×8 torus
+   (d = 4) each 55-round cycle starts from a point mass (almost every
+   node empty), spreads it in closed rounds until almost none is, drains
+   it by service departures, runs open Poisson arrivals at 90% of the
+   service rate (about a third of the nodes empty) and drains again, so
+   the choice flips each way several times.  Each round's loads and the
+   rotors afterwards equal [Engine_ref]'s one round from the same
+   loads. *)
+let test_step_into_skip_choice () =
+  let g = Graphs.Gen.torus [ 8; 8 ] in
+  let n = Graphs.Graph.n g in
+  let make () = Core.Rotor_router.make g ~self_loops:4 ~init_rotor:(fun u -> (3 * u) mod 8) in
+  let fused = make () and ref_b = make () in
+  let rng = Prng.Splitmix.create 17 in
+  let arrival = Workload.Arrival.poisson ~rng ~rate:(0.9 *. 2.0 *. float_of_int n) in
+  let service = Workload.Lifetime.service ~rate:2 in
+  let cur = ref (Array.make n 0) and spare = ref (Array.make n 0) in
+  let fractions = ref [] in
+  for t = 1 to 110 do
+    let phase = (t - 1) mod 55 in
+    if phase = 0 then (!cur).(t mod n) <- !cur.(t mod n) + (4 * n);
+    if phase >= 20 && phase < 50 then
+      ignore (Workload.Arrival.inject arrival ~round:t ~loads:!cur);
+    if phase >= 15 then ignore (Workload.Lifetime.depart service ~round:t ~arrivals:0 ~loads:!cur);
+    let empty = Array.fold_left (fun c x -> if x = 0 then c + 1 else c) 0 !cur in
+    fractions := (float_of_int empty /. float_of_int n) :: !fractions;
+    let want = Core.Engine_ref.run ~graph:g ~balancer:ref_b ~init:!cur ~steps:1 in
+    Core.Engine.step_into ~graph:g ~balancer:fused ~step:t !cur !spare;
+    let next = !spare in
+    spare := !cur;
+    cur := next;
+    if (next, rotor_state fused) <> (want, rotor_state ref_b) then
+      Alcotest.failf "round %d: step_into differs from Engine_ref" t
+  done;
+  (* The empty fraction went from ≥ 0.9 to ≤ 0.5 and back: at d = 4
+     those rounds sit on either side of the rule. *)
+  let flips, _ =
+    List.fold_left
+      (fun (flips, sparse) f ->
+        if sparse && f <= 0.5 then (flips + 1, false)
+        else if (not sparse) && f >= 0.9 then (flips + 1, true)
+        else (flips, sparse))
+      (0, true) (List.rev !fractions)
+  in
+  check_bool (Printf.sprintf "%d flips between sparse and dense rounds" flips) true (flips >= 6)
+
+(* A negative load raises at the same node whichever way the round
+   treats empty nodes: a round on a point mass (almost all empty) sets
+   the next one to skip, a round on a full vector sets it to dense; the
+   kernel's exception and rotors then match the generic path's. *)
+let test_negative_load_either_mode () =
+  let g = Graphs.Gen.torus [ 8; 8 ] in
+  let n = Graphs.Graph.n g in
+  let make () = Core.Rotor_router.make g ~self_loops:4 ~init_rotor:(fun u -> (5 * u) mod 8) in
+  let bad = Array.init n (fun u -> if u mod 3 = 0 then 0 else 1 + (u mod 11)) in
+  bad.(37) <- -2;
+  let outcome prelude b =
+    Core.Engine.step_into ~graph:g ~balancer:b ~step:1 prelude (Array.make n 0);
+    match Core.Engine.step_into ~graph:g ~balancer:b ~step:2 bad (Array.make n 0) with
+    | () -> Error "no exception"
+    | exception Invalid_argument m -> Ok (m, rotor_state b)
+  in
+  List.iter
+    (fun (label, prelude) ->
+      let fused = outcome prelude (make ()) in
+      check_bool (label ^ ": raised") true (Result.is_ok fused);
+      check_bool (label ^ ": same node and rotors as assign") true
+        (fused = outcome prelude (no_op_tap (make ()))))
+    [
+      ("after a sparse round", Core.Loads.point_mass ~n ~total:100);
+      ("after a dense round", Array.init n (fun u -> 1 + (u mod 9)));
+    ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -1016,6 +1090,10 @@ let () =
             test_unfair_kernel_caught;
           QCheck_alcotest.to_alcotest prop_kernel_matches_generic;
           QCheck_alcotest.to_alcotest prop_kernel_negative_load;
+          Alcotest.test_case "step_into skip choice against Engine_ref" `Quick
+            test_step_into_skip_choice;
+          Alcotest.test_case "negative load under either skip choice" `Quick
+            test_negative_load_either_mode;
         ] );
       ( "instrumentation",
         [

@@ -368,7 +368,9 @@ let test_shuffle_rejection () =
 (* [knuth_count] against the product loop written out over [float g 1.0]
    on a copied generator: the same count and the same generator state,
    for 1 to 2^12 leaves at the thresholds of the largest (rate 30) and a
-   small (rate 0.5) Poisson leaf. *)
+   small (rate 0.5) Poisson leaf, and of a tiny one (rate 0.001), where
+   almost every leaf stops at its first draw and so drops the second
+   draw [knuth_count] mixes ahead. *)
 let prop_knuth_count_is_product_loop =
   QCheck.Test.make ~name:"Splitmix.knuth_count = product loop, value and state" ~count:5
     QCheck.int
@@ -391,7 +393,7 @@ let prop_knuth_count_is_product_loop =
               done;
               k = !k' && same_state g g')
             [ 0; 1; 2; 3; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 ])
-        [ exp (-30.0); exp (-0.5) ])
+        [ exp (-30.0); exp (-0.5); exp (-0.001) ])
 
 (* [float] is the top 53 bits of [next64] scaled: a copied generator
    drawing through each gives the same floats, bit for bit. *)

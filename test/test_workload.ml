@@ -456,6 +456,37 @@ let prop_int_percentile_matches_sort =
       same_bits (S.percentile sorted p) (int_pct xs p)
       && same_bits (S.percentile sorted 99.0) (int_pct xs 99.0))
 
+(* The counting pass at every range it splits into four tallies, 0 to
+   63, and at 64, where it keeps one, with n of each residue mod 4 (the
+   nodes left over after the groups of four): both extremes are present,
+   so the range is exactly [r], and n > r keeps the counting pass. *)
+let prop_int_percentile_four_tallies =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 64 >>= fun r ->
+      int_range 0 3 >>= fun j ->
+      int_range ((r / 4) + 1) ((r / 4) + 40) >>= fun m ->
+      int_range (-1000) 1000 >>= fun lo ->
+      let n = (4 * m) + j in
+      array_size (return n) (int_range lo (lo + r)) >>= fun xs ->
+      int_range 0 (n - 1) >>= fun i ->
+      int_range 1 (n - 1) >>= fun k ->
+      oneofl [ 0.0; 50.0; 99.0; 99.9; 100.0 ] >>= fun p ->
+      xs.(i) <- lo;
+      xs.((i + k) mod n) <- lo + r;
+      return (r, xs, p))
+  in
+  QCheck.Test.make ~count:500
+    ~name:"int_percentile = sorted percentile at ranges 0-64, n mod 4 = 0..3"
+    (QCheck.make
+       ~print:(fun (r, xs, p) -> Printf.sprintf "r=%d n=%d p=%g" r (Array.length xs) p)
+       gen)
+    (fun (r, xs, p) ->
+      let sorted = Array.map float_of_int xs in
+      Array.sort Float.compare sorted;
+      let range = Array.fold_left Int.max xs.(0) xs - Array.fold_left Int.min xs.(0) xs in
+      range = r && range < Array.length xs && same_bits (S.percentile sorted p) (int_pct xs p))
+
 let test_int_percentile_edges () =
   check_bool "empty sample raises" true 
     (raises (fun () -> S.int_percentile ~min:0 ~max:0 [||] 99.0));
@@ -675,5 +706,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_replay_bit_identical;
           QCheck_alcotest.to_alcotest prop_service_is_min;
           QCheck_alcotest.to_alcotest prop_int_percentile_matches_sort;
+          QCheck_alcotest.to_alcotest prop_int_percentile_four_tallies;
         ] );
     ]
