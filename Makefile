@@ -1,6 +1,6 @@
 .PHONY: all build test lint check scenarios fuzz bench-shard bench-net \
 	bench-faults bench-obs bench-workload bench-scenario bench-dist \
-	bench-all perfbench clean
+	bench-all perfbench mutants clean
 
 all: build
 
@@ -21,6 +21,12 @@ lint:
 # CI entry point: tier-1 tests plus the sharded-engine smoke (see bin/ci.sh).
 check:
 	sh bin/ci.sh
+
+# Plant every bug in test/mutants/*.mut, one at a time in a scratch
+# copy, and fail unless the tests listed for it fail (see
+# test/mutants/run.py for the catalogue format).
+mutants:
+	python3 test/mutants/run.py
 
 # Type-check, canonically format and execute the example scenarios.
 scenarios:

@@ -178,6 +178,27 @@ cmp "$open_dir/loads" "$open_dir/loads.net" || {
 }
 rm -rf "$open_dir"
 
+echo "== mutants: every catalogued kernel bug is caught by its tests =="
+# test/mutants/*.mut lists bugs once planted by hand in the rotor kernel
+# and the packed targets; each is made again in a scratch copy and the
+# test executables named for it must fail.  The driver itself must
+# refuse an entry whose source text is absent and fail on a no-op entry
+# that is not marked equivalent.
+python3 test/mutants/run.py
+mut_tmp=$(mktemp -d -t lb_ci_mut.XXXXXX)
+printf 'mutant absent\nfile lib/core/loads.ml\nkills test/test_loads.exe\n@@ from\nno such text\n@@ to\n\n@@ end\n' \
+  > "$mut_tmp/absent.mut"
+printf 'mutant no-op\nfile lib/core/loads.ml\nkills test/test_loads.exe\n@@ from\nlet zero\n@@ to\nlet zero\n@@ end\n' \
+  > "$mut_tmp/noop.mut"
+for planted in absent noop; do
+  if python3 test/mutants/run.py "$mut_tmp/$planted.mut" > "$mut_tmp/out" 2>&1; then
+    echo "the mutants driver passed a planted $planted entry" >&2
+    cat "$mut_tmp/out" >&2
+    exit 1
+  fi
+done
+rm -rf "$mut_tmp"
+
 echo "== workload smoke: quick E17 reproduces the stability shape =="
 # run_workload_sweep exits non-zero unless: bounded+conserved below
 # capacity, lambda-monotone steady band, divergence detected above.
