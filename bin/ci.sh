@@ -32,6 +32,32 @@ dune exec bin/lb_lint.exe -- --typed --jsonl lib bin > "$lint_jsonl"
 dune exec bin/jsonlint.exe -- --jsonl "$lint_jsonl"
 rm -f "$lint_jsonl"
 
+echo "== cli docs: every --help=plain renders without a cmdliner error =="
+# cmdliner drops a doc string it cannot parse (a backslash-escaped @,
+# say) and prints "cmdliner error" in the help page instead.
+for cmd in _build/default/bin/*.exe "_build/default/bin/lb_scn.exe check" \
+  "_build/default/bin/lb_scn.exe compile" "_build/default/bin/lb_scn.exe fmt" \
+  "_build/default/bin/lb_scn.exe fuzz" "_build/default/bin/lb_scn.exe run"; do
+  if $cmd --help=plain 2>&1 | grep 'cmdliner error' >&2; then
+    echo "$cmd --help=plain printed a cmdliner error" >&2
+    exit 1
+  fi
+done
+
+echo "== exit contract: a graph spec the generators refuse exits 2 =="
+# cycle:2 and hypercube:0 parse but cannot be built; like any bad spec
+# they are configuration errors (exit 2), not uncaught exceptions (125).
+for tool in lb_inspect lb_walk lb_verify; do
+  for spec in cycle:2 hypercube:0; do
+    rc=0
+    "_build/default/bin/$tool.exe" --graph "$spec" > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+      echo "$tool --graph $spec exited $rc, not 2" >&2
+      exit 1
+    fi
+  done
+done
+
 echo "== dune runtest (tier-1 + shard equivalence + faults) =="
 dune runtest
 

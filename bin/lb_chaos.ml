@@ -263,9 +263,9 @@ let from_t =
 
 let inject_t =
   Arg.(value & opt (some string) None
-       & info [ "inject" ] ~docv:"KIND:SHARD\\@ROUND"
+       & info [ "inject" ] ~docv:"KIND:SHARD@ROUND"
            ~doc:"Plant an audit-misreporting bug in every scenario \
-                 (once:S\\@R or from:S\\@R); used to demonstrate the \
+                 (once:S@R or from:S@R); used to demonstrate the \
                  shrinker on a known failure.")
 
 let deadline_t =

@@ -338,12 +338,12 @@ let loss_seed_t =
 
 let kill_t =
   Arg.(value & opt_all string []
-       & info [ "kill" ] ~docv:"SHARD\\@ROUND"
+       & info [ "kill" ] ~docv:"SHARD@ROUND"
            ~doc:"SIGKILL shard when the round commits (repeatable).")
 
 let term_t =
   Arg.(value & opt_all string []
-       & info [ "term" ] ~docv:"SHARD\\@ROUND"
+       & info [ "term" ] ~docv:"SHARD@ROUND"
            ~doc:"SIGTERM shard when the round commits: it exits 0 at its \
                  barrier and is respawned (repeatable).")
 
@@ -355,17 +355,17 @@ let kill_coord_t =
 
 let partition_t =
   Arg.(value & opt_all string []
-       & info [ "partition" ] ~docv:"SHARDS\\@FROM-UNTIL"
+       & info [ "partition" ] ~docv:"SHARDS@FROM-UNTIL"
            ~doc:"Cut the listed shards (comma-separated) off the \
                  coordinator over a wall-clock window in seconds, e.g. \
-                 1,2\\@0.2-0.6 (repeatable).")
+                 1,2@0.2-0.6 (repeatable).")
 
 let inject_t =
   Arg.(value & opt (some string) None
-       & info [ "inject" ] ~docv:"KIND:SHARD\\@ROUND"
-           ~doc:"Audit-fault injection: once:S\\@R misreports one round's \
+       & info [ "inject" ] ~docv:"KIND:SHARD@ROUND"
+           ~doc:"Audit-fault injection: once:S@R misreports one round's \
                  sum (the poisoned commit must roll back and re-run); \
-                 from:S\\@R misreports every round from R (the poison \
+                 from:S@R misreports every round from R (the poison \
                  budget must trip, exit 4).")
 
 let band_t =

@@ -7,36 +7,6 @@
 
 exception Spec_error of string
 
-let parse_graph s =
-  let fail () =
-    raise
-      (Spec_error
-         (Printf.sprintf
-            "bad graph spec %S (expected cycle:N, torus:AxA, hypercube:R, \
-             complete:N, clique:N,D or random:N,D[,SEED])"
-            s))
-  in
-  let int_of x = match int_of_string_opt x with Some v -> v | None -> fail () in
-  match String.split_on_char ':' s with
-  | [ "cycle"; n ] -> Harness.Experiment.Cycle (int_of n)
-  | [ "hypercube"; r ] -> Harness.Experiment.Hypercube (int_of r)
-  | [ "complete"; n ] -> Harness.Experiment.Complete (int_of n)
-  | [ "torus"; dims ] -> (
-    match String.split_on_char 'x' dims with
-    | [ a; b ] when a = b -> Harness.Experiment.Torus2d (int_of a)
-    | _ -> fail ())
-  | [ "clique"; args ] -> (
-    match String.split_on_char ',' args with
-    | [ n; d ] -> Harness.Experiment.Clique_circulant { n = int_of n; d = int_of d }
-    | _ -> fail ())
-  | [ "random"; args ] -> (
-    match String.split_on_char ',' args with
-    | [ n; d ] -> Harness.Experiment.Random_regular { n = int_of n; d = int_of d; seed = 1 }
-    | [ n; d; seed ] ->
-      Harness.Experiment.Random_regular { n = int_of n; d = int_of d; seed = int_of seed }
-    | _ -> fail ())
-  | _ -> fail ()
-
 let parse_self_loops d s =
   match s with
   | None -> [ 0; 1; d; 2 * d ]
@@ -49,12 +19,17 @@ let parse_self_loops d s =
       (String.split_on_char ',' s)
 
 let run graph self_loops k =
-  match try Ok (parse_graph graph) with Spec_error m -> Error m with
+  (* The generators raise Invalid_argument on a shape they cannot build
+     (cycle:2): a bad spec like any other. *)
+  let built =
+    Result.bind (Harness.Experiment.graph_of_string graph) (fun spec ->
+        try Ok (spec, Harness.Experiment.build_graph spec) with Invalid_argument m -> Error m)
+  in
+  match built with
   | Error msg ->
     prerr_endline ("lb_inspect: " ^ msg);
     exit 2
-  | Ok spec -> (
-    let g = Harness.Experiment.build_graph spec in
+  | Ok (spec, g) -> (
     let n = Graphs.Graph.n g in
     let d = Graphs.Graph.degree g in
     Printf.printf "graph:      %s\n" (Harness.Experiment.graph_name spec);

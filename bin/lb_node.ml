@@ -140,10 +140,10 @@ let loss_seed_t =
 
 let partition_t =
   Arg.(value & opt_all string []
-       & info [ "partition" ] ~docv:"SHARDS\\@FROM-UNTIL"
+       & info [ "partition" ] ~docv:"SHARDS@FROM-UNTIL"
            ~doc:"Cut the listed shards off the coordinator over a \
                  wall-clock window in seconds since this daemon started, \
-                 e.g. 1,2\\@0.2-0.6 (repeatable).")
+                 e.g. 1,2@0.2-0.6 (repeatable).")
 
 let dir_t =
   Arg.(value & opt string "."

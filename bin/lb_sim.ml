@@ -924,8 +924,8 @@ let fault_plan_arg =
     & opt (some string) None
     & info [ "fault-plan" ] ~docv:"PLAN"
         ~doc:
-          "Semicolon-separated fault specs: crash:FRAC\\@STEP[:wipe|keep][:lose|spill], \
-           outage:RATE\\@STEP+DURATION, shock:AMOUNT\\@STEP[:node=N]. Realized \
+          "Semicolon-separated fault specs: crash:FRAC@STEP[:wipe|keep][:lose|spill], \
+           outage:RATE@STEP+DURATION, shock:AMOUNT@STEP[:node=N]. Realized \
            into concrete node/edge events with --fault-seed; same seed and plan \
            replay the identical faulted run.")
 
@@ -934,14 +934,14 @@ let crash_nodes_arg =
     value
     & opt (some string) None
     & info [ "crash-nodes" ] ~docv:"FRAC@STEP"
-        ~doc:"Shorthand for --fault-plan crash:FRAC\\@STEP (wipe state, lose tokens).")
+        ~doc:"Shorthand for --fault-plan crash:FRAC@STEP (wipe state, lose tokens).")
 
 let edge_outage_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "edge-outage" ] ~docv:"RATE@STEP+DUR"
-        ~doc:"Shorthand for --fault-plan outage:RATE\\@STEP+DUR.")
+        ~doc:"Shorthand for --fault-plan outage:RATE@STEP+DUR.")
 
 let fault_seed_arg =
   Arg.(

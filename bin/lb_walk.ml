@@ -30,7 +30,9 @@ let parse_graph s =
   | _ -> fail ()
 
 let run graph seeds start =
-  match try Ok (parse_graph graph) with Spec_error m -> Error m with
+  (* The generators raise Invalid_argument on a shape they cannot build
+     (cycle:2, hypercube:0): a bad spec like any other. *)
+  match try Ok (parse_graph graph) with Spec_error m | Invalid_argument m -> Error m with
   | Error msg ->
     prerr_endline ("lb_walk: " ^ msg);
     exit 2

@@ -45,10 +45,10 @@ val make :
     is the bitmask of the original ports in the window [\[r, r + e)]
     and their count.  Per node it makes one lookup, sends
     q + (bit k) on original port k, and keeps x − (q·d + count).
-    Its [round], [round_packed] and [round_packed16] are one loop
-    written three times, with their adds into an int vector, into
-    {!Acc}'s 32-bit slots, and into its 16-bit slots as plain ints.
-    The packed two skip empty nodes.  [round], which
+    Its [round], [round_packed] and [round_packed16] are {!Rotor_loop}'s
+    three expansions of one template, with their adds into an int
+    vector, into {!Acc}'s 32-bit slots, and into its 16-bit slots as
+    plain ints.  The packed two skip empty nodes.  [round], which
     {!Engine.step_into} runs, picks one of two loops each round from
     the last round's count e of empty nodes: one runs them through the
     node's body with zero sends, when d·e ≤ 5·min(e, n − e) and a skip

@@ -106,8 +106,8 @@ let graph_of_string s =
   parsed @@ fun () ->
   let fail () =
     parse_fail
-      "bad graph spec %S (expected cycle:N, torus:AxB, hypercube:R, complete:N, \
-       clique:N,D or random:N,D,SEED)"
+      "bad graph spec %S (expected cycle:N, torus:AxA, hypercube:R, complete:N, \
+       clique:N,D or random:N,D[,SEED])"
       s
   in
   let int_of x = match int_of_string_opt x with Some v -> v | None -> fail () in

@@ -141,15 +141,7 @@ def run_exe(root, exe):
 
 
 def copy_checkout(src, dst):
-    ignore = shutil.ignore_patterns("_build", ".git", "_opam")
-    for name in os.listdir(src):
-        if name in ("_build", ".git", "_opam"):
-            continue
-        s, d = os.path.join(src, name), os.path.join(dst, name)
-        if os.path.isdir(s):
-            shutil.copytree(s, d, ignore=ignore)
-        else:
-            shutil.copy2(s, d)
+    shutil.copytree(src, dst, ignore=shutil.ignore_patterns("_build", ".git"), dirs_exist_ok=True)
 
 
 def main():
