@@ -83,17 +83,30 @@ dune exec bin/lb_sim.exe -- --graph cycle:1024 --algo rotor-router \
   --init random:65536 --steps 4000 --crash-nodes 0.1@500 \
   --recovery-eps 64 --require-recovery --shards 2
 
-echo "== net smoke: loss=0 network is bit-identical to the core engine =="
-# A reliable network (--drop 0) must reproduce the synchronous engine's
-# result exactly; compare the "final disc:" lines of the two runs.
-ref=$(dune exec bin/lb_sim.exe -- --graph torus:16x16 --algo rotor-router \
-  --init point:4096 --steps 200 | grep '^final disc:')
-net=$(dune exec bin/lb_sim.exe -- --graph torus:16x16 --algo rotor-router \
-  --init point:4096 --steps 200 --drop 0 | grep '^final disc:')
-if [ "$ref" != "$net" ]; then
-  echo "loss=0 network diverged from the core engine: '$ref' vs '$net'" >&2
-  exit 1
-fi
+echo "== net smoke: loss=0 network and 2 shards are bit-identical to the core engine =="
+# A reliable network (--drop 0) and the sharded engine must reproduce
+# the synchronous engine's final load vector exactly.  Core, Shard and
+# Net check every node with the one Core.Engine.node_step; rotor-router
+# takes Core's kernel, send-round and rotor-router* its per-node loop.
+eq_dir=$(mktemp -d -t lb_ci_eq.XXXXXX)
+for algo in rotor-router "send-round --self-loops 12" rotor-router-star; do
+  eq_run() {
+    # $algo is split on purpose: it may carry a --self-loops flag.
+    # shellcheck disable=SC2086
+    dune exec bin/lb_sim.exe -- --graph torus:16x16 --algo $algo \
+      --init point:4096 --steps 200 "$@" > /dev/null
+  }
+  eq_run --dump-loads "$eq_dir/core"
+  eq_run --shards 2 --dump-loads "$eq_dir/shard"
+  eq_run --drop 0 --dump-loads "$eq_dir/net"
+  for engine in shard net; do
+    cmp "$eq_dir/core" "$eq_dir/$engine" || {
+      echo "$algo: the $engine engine diverged from the core engine" >&2
+      exit 1
+    }
+  done
+done
+rm -rf "$eq_dir"
 
 echo "== fault smoke: a crash has the same effect over the network =="
 # Both engines apply fault events through Faults.Apply; on a reliable
@@ -204,9 +217,10 @@ cmp "$open_dir/loads" "$open_dir/loads.net" || {
 }
 rm -rf "$open_dir"
 
-echo "== mutants: every catalogued kernel bug is caught by its tests =="
-# test/mutants/*.mut lists bugs once planted by hand in the rotor kernel
-# and the packed targets; each is made again in a scratch copy and the
+echo "== mutants: every catalogued kernel and engine bug is caught by its tests =="
+# test/mutants/*.mut lists bugs in the rotor kernel and the packed
+# targets, and in the engines' node step, step_into and the sharded
+# merge; each is made again in a scratch copy and the
 # test executables named for it must fail.  The driver itself must
 # refuse an entry whose source text is absent and fail on a no-op entry
 # that is not marked equivalent.

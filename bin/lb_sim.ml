@@ -211,8 +211,9 @@ let run_sharded ~audit ~target ~series ~dump_loads ~shards ~strategy ~checkpoint
   let make_balancer () = Harness.Experiment.build_balancer algo_spec g ~init in
   let probe = make_balancer () in
   let self_loops = probe.Core.Balancer.self_loops in
+  let gap = Harness.Experiment.spec_gap graph_spec ~graph:g ~self_loops in
   let steps =
-    Harness.Experiment.horizon_steps ~graph:g ~self_loops ~init horizon_spec
+    Harness.Experiment.horizon_steps ~gap ~graph:g ~self_loops ~init horizon_spec
   in
   let part = Shard.Partition.make ~strategy ~shards g in
   let pstats = Shard.Partition.stats part g in
@@ -274,7 +275,7 @@ let run_sharded ~audit ~target ~series ~dump_loads ~shards ~strategy ~checkpoint
   print_summary ~graph_label:(Harness.Experiment.graph_name graph_spec)
     ~algo_label:probe.Core.Balancer.name ~n ~degree:(Graphs.Graph.degree g)
     ~self_loops
-    ~gap:(Harness.Experiment.spectral_gap ~graph:g ~self_loops)
+    ~gap
     ~initial_discrepancy:(Core.Loads.discrepancy init)
     ~horizon:steps ~target ~time_to_target result;
   let steps_executed =
@@ -301,8 +302,9 @@ let run_faulted ~series ~dump_loads ~shards ~strategy ~fault_specs ~fault_seed ~
   let make_balancer () = Harness.Experiment.build_balancer algo_spec g ~init in
   let probe = make_balancer () in
   let self_loops = probe.Core.Balancer.self_loops in
+  let gap = Harness.Experiment.spec_gap graph_spec ~graph:g ~self_loops in
   let steps =
-    Harness.Experiment.horizon_steps ~graph:g ~self_loops ~init horizon_spec
+    Harness.Experiment.horizon_steps ~gap ~graph:g ~self_loops ~init horizon_spec
   in
   let plan = Faults.Schedule.realize ~seed:fault_seed ~graph:g fault_specs in
   Printf.printf "fault plan:   %d events, seed %d (%s)\n" (List.length plan)
@@ -324,7 +326,7 @@ let run_faulted ~series ~dump_loads ~shards ~strategy ~fault_specs ~fault_seed ~
   print_summary ~graph_label:(Harness.Experiment.graph_name graph_spec)
     ~algo_label:probe.Core.Balancer.name ~n ~degree:(Graphs.Graph.degree g)
     ~self_loops
-    ~gap:(Harness.Experiment.spectral_gap ~graph:g ~self_loops)
+    ~gap
     ~initial_discrepancy:(Core.Loads.discrepancy init)
     ~horizon:steps ~target:None ~time_to_target:None report.Faults.Engine.result;
   List.iter print_endline (Faults.Engine.report_lines report);
@@ -349,8 +351,9 @@ let run_net ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~graph_spec ~a
   let init = Harness.Experiment.build_init init_spec ~n in
   let balancer = Harness.Experiment.build_balancer algo_spec g ~init in
   let self_loops = balancer.Core.Balancer.self_loops in
+  let gap = Harness.Experiment.spec_gap graph_spec ~graph:g ~self_loops in
   let steps =
-    Harness.Experiment.horizon_steps ~graph:g ~self_loops ~init horizon_spec
+    Harness.Experiment.horizon_steps ~gap ~graph:g ~self_loops ~init horizon_spec
   in
   if fault_specs <> [] then
     Printf.printf "fault plan:   %d specs, seed %d (%s)\n"
@@ -367,7 +370,7 @@ let run_net ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~graph_spec ~a
   print_summary ~graph_label:(Harness.Experiment.graph_name graph_spec)
     ~algo_label:balancer.Core.Balancer.name ~n ~degree:(Graphs.Graph.degree g)
     ~self_loops
-    ~gap:(Harness.Experiment.spectral_gap ~graph:g ~self_loops)
+    ~gap
     ~initial_discrepancy:(Core.Loads.discrepancy init)
     ~horizon:steps ~target:None ~time_to_target:None report.Net.Async_engine.result;
   List.iter print_endline (Net.Async_engine.report_lines report);

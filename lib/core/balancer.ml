@@ -59,27 +59,3 @@ let paper_deterministic =
 
 let paper_stateless =
   { deterministic = true; stateless = true; never_negative = true; no_communication = true }
-
-let validate_assignment b ~load ~ports =
-  let dp = d_plus b in
-  if Array.length ports <> dp then
-    Error (Printf.sprintf "%s: ports buffer has length %d, expected %d"
-             b.name (Array.length ports) dp)
-  else begin
-    let sum = ref 0 in
-    let bad_original = ref None in
-    for k = 0 to dp - 1 do
-      sum := !sum + ports.(k);
-      if k < b.degree && ports.(k) < 0 && !bad_original = None then
-        bad_original := Some k
-    done;
-    match !bad_original with
-    | Some k ->
-      Error (Printf.sprintf "%s: negative tokens (%d) on original port %d"
-               b.name ports.(k) k)
-    | None ->
-      if !sum <> load then
-        Error (Printf.sprintf "%s: conservation violated (assigned %d of load %d)"
-                 b.name !sum load)
-      else Ok ()
-  end

@@ -10,7 +10,7 @@
 
     The engine calls [assign] once per node per step; the balancer
     writes token counts into the provided [ports] buffer (length d⁺).
-    Invariants enforced by the engine:
+    Invariants enforced by every engine, through {!Engine.node_step}:
 
     - conservation: the entries sum to [load];
     - original entries (ports [0 .. d-1]) are non-negative.
@@ -140,8 +140,3 @@ val paper_deterministic : properties
 
 val paper_stateless : properties
 (** D ✓, SL ✓, NL ✓, NC ✓ — SEND-style. *)
-
-val validate_assignment :
-  t -> load:int -> ports:int array -> (unit, string) Result.t
-(** The engine's invariant check, exposed for tests: conservation and
-    non-negative original ports. *)

@@ -69,51 +69,57 @@ let check_shape ~fn ~graph ~balancer loads =
   if Array.length loads <> Graphs.Graph.n graph then
     invalid_arg (Printf.sprintf "Engine.%s: init length mismatch" fn)
 
-(* Every node's assignment validated and routed into [next]: the only
-   copy of the assign → validate → route loop.  Validation is fused
-   with routing: one pass over the original ports rejects a negative
-   send, sums and scatters into [next]; a second pass over the
-   self-loop ports gives the kept tokens; conservation is checked after
-   both, so a negative original port is still reported before a
-   conservation failure.  On a violation [next] is left partially
-   written — both callers discard it.  Returns the tokens that left
-   their node when [probing], else 0. *)
+(* The one check of a [Balancer.assign] result (engine.mli). *)
+let node_step ~balancer ~tracker ~step ~node ~load ports =
+  balancer.Balancer.assign ~step ~node ~load ~ports;
+  let d = balancer.Balancer.degree in
+  let sent = ref 0 in
+  for k = 0 to d - 1 do
+    let p = ports.(k) in
+    if p < 0 then
+      raise
+        (Invariant_violation
+           (Printf.sprintf "%s: node %d step %d sends %d (< 0) on original port %d"
+              balancer.Balancer.name node step p k));
+    sent := !sent + p
+  done;
+  let kept = ref 0 in
+  for k = d to Balancer.d_plus balancer - 1 do
+    kept := !kept + ports.(k)
+  done;
+  if !sent + !kept <> load then
+    raise
+      (Invariant_violation
+         (Printf.sprintf "%s: node %d step %d assigned %d tokens of load %d"
+            balancer.Balancer.name node step (!sent + !kept) load));
+  (match tracker with
+   | Some tr -> Fairness.observe tr ~node ~load ~ports
+   | None -> ());
+  !kept
+
+let check_total ~balancer ~step ~expected total =
+  if total <> expected then
+    raise
+      (Invariant_violation
+         (Printf.sprintf "%s: step %d changed the token total from %d to %d"
+            balancer.Balancer.name step expected total))
+
+(* Every node's checked assignment routed into [next].  On a violation
+   [next] is left partially written — both callers discard it.
+   Returns the tokens that left their node when [probing], else 0. *)
 let assign_round ~balancer ~adj ~d ~tracker ~probing ~step cur next =
   let ports = Array.make (Balancer.d_plus balancer) 0 in
-  let dp = Array.length ports in
   let moved = ref 0 in
   for u = 0 to Array.length cur - 1 do
     let x = cur.(u) in
-    balancer.Balancer.assign ~step ~node:u ~load:x ~ports;
+    let kept = node_step ~balancer ~tracker ~step ~node:u ~load:x ports in
     let base = u * d in
-    let sent = ref 0 in
     for k = 0 to d - 1 do
-      let p = ports.(k) in
-      if p < 0 then
-        raise
-          (Invariant_violation
-             (Printf.sprintf
-                "%s: node %d step %d sends %d (< 0) on original port %d"
-                balancer.Balancer.name u step p k));
-      sent := !sent + p;
       let v = adj.(base + k) in
-      next.(v) <- next.(v) + p
+      next.(v) <- next.(v) + ports.(k)
     done;
-    let kept = ref 0 in
-    for k = d to dp - 1 do
-      kept := !kept + ports.(k)
-    done;
-    if !sent + !kept <> x then
-      raise
-        (Invariant_violation
-           (Printf.sprintf
-              "%s: node %d step %d assigned %d tokens of load %d"
-              balancer.Balancer.name u step (!sent + !kept) x));
-    (match tracker with
-     | Some tr -> Fairness.observe tr ~node:u ~load:x ~ports
-     | None -> ());
-    if probing then moved := !moved + !sent;
-    next.(u) <- next.(u) + !kept
+    if probing then moved := !moved + (x - kept);
+    next.(u) <- next.(u) + kept
   done;
   !moved
 
@@ -256,11 +262,7 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy ~graph
        let disc = sc.disc and mn = sc.min in
        (* Per-node checks cannot see a kernel that drops or duplicates a
           token; the round total can. *)
-       if sc.total <> !total then
-         raise
-           (Invariant_violation
-              (Printf.sprintf "%s: step %d changed the token total from %d to %d"
-                 balancer.Balancer.name t !total sc.total));
+       check_total ~balancer ~step:t ~expected:!total sc.total;
        if probing then probe_round ~dp ~step:t ~moved ~disc ~mn !cur;
        if mn < !min_seen then min_seen := mn;
        if t mod sample_every = 0 || t = steps then series := (t, disc) :: !series;

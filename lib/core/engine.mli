@@ -11,8 +11,51 @@
 
 exception Invariant_violation of string
 (** Raised when a balancer breaks conservation or sends a negative
-    token count on an original edge, or when a round of {!run} changes
-    the token total. *)
+    token count on an original edge, or when a round of {!run} or of
+    the sharded engine changes the token total. *)
+
+val node_step :
+  balancer:Balancer.t ->
+  tracker:Fairness.t option ->
+  step:int ->
+  node:int ->
+  load:int ->
+  int array ->
+  int
+(** [node_step ~balancer ~tracker ~step ~node ~load ports] is one
+    node's checked assignment: the only check of a [Balancer.assign]
+    result, under every engine that drives [assign] ({!run},
+    {!step_into}, the sharded, network and distributed engines).  It
+    calls [balancer.assign ~step ~node ~load ~ports] on the caller's
+    d⁺-entry buffer [ports], then checks the result and raises
+    {!Invariant_violation}, in this order:
+
+    - at the first original port k (k < d) holding p < 0:
+      ["NAME: node U step T sends P (< 0) on original port K"];
+    - when the d⁺ entries do not sum to [load]:
+      ["NAME: node U step T assigned S tokens of load X"].
+
+    A negative self-loop entry is allowed (the NL=✗ balancers).  On
+    success it passes the ports to [tracker], when one is given
+    ({!Fairness.observe}), and returns the tokens the node keeps: the
+    sum of its self-loop entries.  Routing the original ports
+    (entries [0 .. d-1], left in [ports]) is the caller's. *)
+
+val check_total : balancer:Balancer.t -> step:int -> expected:int -> int -> unit
+(** [check_total ~balancer ~step ~expected total] is the round-total
+    check of {!run} and the sharded engine: it raises
+    {!Invariant_violation}
+    ["NAME: step T changed the token total from EXPECTED to TOTAL"]
+    unless [total = expected]. *)
+
+type scan = { mutable disc : int; mutable min : int; mutable total : int }
+(** Discrepancy, minimum and token total of the last scanned vector,
+    kept in one record that every round reuses. *)
+
+val scan_into : scan -> int array -> unit
+(** [scan_into s loads] writes [loads]' discrepancy (max − min),
+    minimum and total into [s] in one pass.  [loads] must be
+    non-empty. *)
 
 type result = {
   steps_run : int;

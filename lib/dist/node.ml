@@ -89,7 +89,6 @@ type t = {
   mutable balancer : Core.Balancer.t;
   n : int;
   d : int;
-  dp : int;
   ports : int array; (* assign scratch *)
   loads : int array; (* committed loads; authoritative for owned nodes *)
   staged : int array; (* next-loads accumulator for the running round *)
@@ -262,14 +261,14 @@ let stage_round t =
   Array.iter
     (fun u ->
       let x = t.loads.(u) in
-      t.balancer.Core.Balancer.assign ~step:t.round ~node:u ~load:x
-        ~ports:t.ports;
-      (match Core.Balancer.validate_assignment t.balancer ~load:x ~ports:t.ports with
-       | Ok () -> ()
-       | Error m ->
-         raise
-           (Fatal (4, Printf.sprintf "node %d round %d: %s" u t.round m)));
-      let kept = ref 0 in
+      let kept =
+        match
+          Core.Engine.node_step ~balancer:t.balancer ~tracker:None ~step:t.round
+            ~node:u ~load:x t.ports
+        with
+        | k -> ref k
+        | exception Core.Engine.Invariant_violation m -> raise (Fatal (4, m))
+      in
       for k = 0 to t.d - 1 do
         let tk = t.ports.(k) in
         if tk <> 0 then begin
@@ -279,9 +278,6 @@ let stage_round t =
           else if t.member_of.(ow) then out.(ow) <- (v, tk) :: out.(ow)
           else kept := !kept + tk (* dead destination: tokens stay here *)
         end
-      done;
-      for k = t.d to t.dp - 1 do
-        kept := !kept + t.ports.(k)
       done;
       t.staged.(u) <- t.staged.(u) + !kept)
     t.owned;
@@ -657,7 +653,6 @@ let run cfg =
       balancer;
       n;
       d;
-      dp = Core.Balancer.d_plus balancer;
       ports = Array.make (Core.Balancer.d_plus balancer) 0;
       loads = Array.make n 0;
       staged = Array.make n 0;

@@ -111,20 +111,19 @@ let circulant n offsets =
     offsets;
   Graph.of_ends ~n ends
 
-let clique_circulant ~n ~d =
+let clique_circulant_offsets ~n ~d =
   if d < 2 then invalid_arg "Gen.clique_circulant: d must be >= 2";
   if n <= 2 * (d / 2) then invalid_arg "Gen.clique_circulant: n too small for d";
   let half = d / 2 in
   let offsets = List.init half (fun i -> i + 1) in
-  let offsets =
-    if d mod 2 = 1 then begin
-      if n mod 2 <> 0 then
-        invalid_arg "Gen.clique_circulant: odd d requires even n";
-      offsets @ [ n / 2 ]
-    end
-    else offsets
-  in
-  circulant n offsets
+  if d mod 2 = 1 then begin
+    if n mod 2 <> 0 then
+      invalid_arg "Gen.clique_circulant: odd d requires even n";
+    offsets @ [ n / 2 ]
+  end
+  else offsets
+
+let clique_circulant ~n ~d = circulant n (clique_circulant_offsets ~n ~d)
 
 let petersen () =
   (* Outer 5-cycle 0..4, inner pentagram 5..9, spokes i -- i+5. *)

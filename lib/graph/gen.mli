@@ -37,6 +37,10 @@ val clique_circulant : n:int -> d:int -> Graph.t
     clique [C = {0, .., ⌊d/2⌋ − 1}] when [n] is large enough.
     d-regular.  Requires [n > 2 * (d / 2)]. *)
 
+val clique_circulant_offsets : n:int -> d:int -> int list
+(** The offsets [clique_circulant ~n ~d] passes to {!circulant}:
+    [1 .. ⌊d/2⌋], then [n/2] when [d] is odd.  Same checks. *)
+
 val petersen : unit -> Graph.t
 (** The Petersen graph: 10 nodes, 3-regular, girth 5, odd girth 5,
     diameter 2 — a fixed awkward instance for structural tests. *)

@@ -17,23 +17,34 @@ let eigenvalue_gap ?max_iter ?tol g ~self_loops =
 
 let pi = 4.0 *. atan 1.0
 
-let cycle_gap ~n ~self_loops =
+(* µ = 1 − max |λ| over the walk's non-trivial eigenvalues (a + d°)/d⁺:
+   the largest modulus comes from the largest non-trivial adjacency
+   eigenvalue [a_max] or the smallest [a_min].  Clamped as
+   [Linalg.Eigen.spectral_gap] clamps its estimate. *)
+let walk_gap ~d ~self_loops ~a_max ~a_min =
   let d0 = float_of_int self_loops in
-  1.0 -. (((2.0 *. cos (2.0 *. pi /. float_of_int n)) +. d0) /. (2.0 +. d0))
+  let dp = float_of_int d +. d0 in
+  let modulus a = abs_float ((a +. d0) /. dp) in
+  let l = Float.max (modulus a_max) (modulus a_min) in
+  let gap = 1.0 -. l in
+  if gap <= 0.0 then 1e-12 else gap
+
+(* 2 cos(2πk/n): eigenvalue k of the cycle C_n's adjacency. *)
+let cycle_eigenvalue ~n k = 2.0 *. cos (2.0 *. pi *. float_of_int k /. float_of_int n)
+
+let cycle_gap ~n ~self_loops =
+  walk_gap ~d:2 ~self_loops ~a_max:(cycle_eigenvalue ~n 1)
+    ~a_min:(cycle_eigenvalue ~n (n / 2))
 
 let hypercube_gap ~r ~self_loops =
-  let d0 = float_of_int self_loops in
-  let r = float_of_int r in
-  1.0 -. ((r -. 2.0 +. d0) /. (r +. d0))
+  walk_gap ~d:r ~self_loops ~a_max:(float_of_int r -. 2.0) ~a_min:(float_of_int (-r))
 
-let complete_gap ~n ~self_loops =
-  let d0 = float_of_int self_loops in
-  let n = float_of_int n in
-  1.0 -. ((d0 -. 1.0) /. (n -. 1.0 +. d0))
+let complete_gap ~n ~self_loops = walk_gap ~d:(n - 1) ~self_loops ~a_max:(-1.0) ~a_min:(-1.0)
 
 let torus2d_gap ~side ~self_loops =
-  let d0 = float_of_int self_loops in
-  1.0 -. ((2.0 +. (2.0 *. cos (2.0 *. pi /. float_of_int side)) +. d0) /. (4.0 +. d0))
+  walk_gap ~d:4 ~self_loops
+    ~a_max:(2.0 +. cycle_eigenvalue ~n:side 1)
+    ~a_min:(2.0 *. cycle_eigenvalue ~n:side (side / 2))
 
 let circulant_gap ~n ~offsets ~self_loops =
   let d =

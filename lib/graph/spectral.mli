@@ -15,24 +15,32 @@ val eigenvalue_gap : ?max_iter:int -> ?tol:float -> Graph.t -> self_loops:int ->
 (** µ = 1 − |λ₂| of the transition matrix, estimated numerically;
     always in (0, 1]. *)
 
-val cycle_gap : n:int -> self_loops:int -> float
-(** Closed form for the cycle: 1 − (2 cos(2π/n) + d°) / (2 + d°).
-    Used to cross-check the numerical estimator and to price horizons
+(** The closed forms below give µ = 1 − max |λ| over the non-trivial
+    eigenvalues λ = (a + d°)/d⁺ of the walk, a ranging over the
+    adjacency spectrum: the largest a or, with few self-loops, the
+    most negative one sets it (for d° ≥ d every λ is non-negative and
+    the largest wins).  Like {!eigenvalue_gap}, each is in (0, 1].
+    They cross-check the numerical estimator and price horizons
     without running power iteration. *)
 
+val cycle_gap : n:int -> self_loops:int -> float
+(** The cycle C_n: a = 2 cos(2πk/n), largest at k = 1, smallest at
+    k = ⌊n/2⌋. *)
+
 val hypercube_gap : r:int -> self_loops:int -> float
-(** Closed form for the r-cube: 1 − (r − 2 + d°) / (r + d°). *)
+(** The r-cube: a = r − 2k, largest r − 2, smallest −r. *)
 
 val complete_gap : n:int -> self_loops:int -> float
-(** Closed form for K_n: 1 − (d° − 1) / (n − 1 + d°). *)
+(** K_n: every non-trivial a is −1. *)
 
 val torus2d_gap : side:int -> self_loops:int -> float
-(** Closed form for the side×side torus (degree 4). *)
+(** The side×side torus (degree 4): a = 2 cos(2πj/side) + 2 cos(2πk/side),
+    largest 2 + 2 cos(2π/side), smallest 4 cos(2π⌊side/2⌋/side). *)
 
 val circulant_gap : n:int -> offsets:int list -> self_loops:int -> float
-(** Closed form for circulant graphs: eigenvalues of the adjacency are
-    Σ_o (2 − [2o = n]) cos(2πko/n) over k; the gap follows from the
-    largest non-trivial one.  Generalizes {!cycle_gap}. *)
+(** Circulant graphs: eigenvalues of the adjacency are
+    Σ_o (2 − [2o = n]) cos(2πko/n) over k, all n − 1 non-trivial ones
+    examined.  Generalizes {!cycle_gap}; O(n · |offsets|). *)
 
 val horizon : gap:float -> n:int -> initial_discrepancy:int -> c:float -> int
 (** [horizon ~gap ~n ~initial_discrepancy ~c] is

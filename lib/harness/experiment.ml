@@ -217,12 +217,23 @@ let spectral_gap ~graph ~self_loops =
     Hashtbl.add gap_cache key g;
     g
 
-let horizon_steps ~graph ~self_loops ~init = function
+let spec_gap spec ~graph ~self_loops =
+  match spec with
+  | Cycle n -> Graphs.Spectral.cycle_gap ~n ~self_loops
+  | Torus2d side -> Graphs.Spectral.torus2d_gap ~side ~self_loops
+  | Hypercube r -> Graphs.Spectral.hypercube_gap ~r ~self_loops
+  | Complete n -> Graphs.Spectral.complete_gap ~n ~self_loops
+  | Clique_circulant { n; d } ->
+    Graphs.Spectral.circulant_gap ~n
+      ~offsets:(Graphs.Gen.clique_circulant_offsets ~n ~d)
+      ~self_loops
+  | Random_regular _ -> spectral_gap ~graph ~self_loops
+
+let horizon_steps ~gap ~graph ~self_loops ~init = function
   | Fixed_steps s ->
     if s < 1 then invalid_arg "Experiment.horizon_steps: need >= 1 step";
     s
   | Mixing_multiple c ->
-    let gap = spectral_gap ~graph ~self_loops in
     Graphs.Spectral.horizon ~gap ~n:(Graphs.Graph.n graph)
       ~initial_discrepancy:(Core.Loads.discrepancy init) ~c
   | Continuous_multiple c ->
@@ -249,53 +260,39 @@ type outcome = {
   fairness : Core.Fairness.report option;
 }
 
-let run_prepared ?(audit = false) ?target ?(stop_early = false) ~graph ~graph_label
-    ~balancer ~init ~steps () =
+let run ?(audit = false) ?target ~graph:spec ~algo ~init ~horizon () =
+  let graph = build_graph spec in
+  let init = build_init init ~n:(Graphs.Graph.n graph) in
+  let balancer = build_balancer algo graph ~init in
+  let self_loops = balancer.Core.Balancer.self_loops in
+  let gap = spec_gap spec ~graph ~self_loops in
+  let steps = horizon_steps ~gap ~graph ~self_loops ~init horizon in
   let first_hit = ref None in
   let hook =
-    match target with
-    | Some tgt when not stop_early ->
-      Some
-        (fun t loads ->
-          if !first_hit = None && Core.Loads.discrepancy loads <= tgt then
-            first_hit := Some t)
-    | _ -> None
+    Option.map
+      (fun tgt t loads ->
+        if !first_hit = None && Core.Loads.discrepancy loads <= tgt then
+          first_hit := Some t)
+      target
   in
-  let stop_at = if stop_early then target else None in
   let result =
-    Core.Engine.run ~audit
-      ~sample_every:(max 1 (steps / 64))
-      ?hook ?stop_at_discrepancy:stop_at ~graph ~balancer ~init ~steps ()
-  in
-  let time_to_target =
-    match (target, stop_early) with
-    | None, _ -> None
-    | Some _, true -> result.Core.Engine.reached_target
-    | Some tgt, false ->
-      if Core.Loads.discrepancy init <= tgt then Some 0 else !first_hit
+    Core.Engine.run ~audit ~sample_every:(max 1 (steps / 64)) ?hook ~graph ~balancer
+      ~init ~steps ()
   in
   {
-    graph_label;
+    graph_label = graph_name spec;
     algo_label = balancer.Core.Balancer.name;
     n = Graphs.Graph.n graph;
     degree = Graphs.Graph.degree graph;
-    self_loops = balancer.Core.Balancer.self_loops;
-    gap = spectral_gap ~graph ~self_loops:balancer.Core.Balancer.self_loops;
+    self_loops;
+    gap;
     steps = result.Core.Engine.steps_run;
     horizon = steps;
     initial_discrepancy = Core.Loads.discrepancy init;
     final_discrepancy = Core.Loads.discrepancy result.Core.Engine.final_loads;
-    time_to_target;
+    time_to_target =
+      Option.bind target (fun tgt ->
+          if Core.Loads.discrepancy init <= tgt then Some 0 else !first_hit);
     min_load_seen = result.Core.Engine.min_load_seen;
     fairness = result.Core.Engine.fairness;
   }
-
-let run ?audit ?target ~graph ~algo ~init ~horizon () =
-  let g = build_graph graph in
-  let n = Graphs.Graph.n g in
-  let init_loads = build_init init ~n in
-  let balancer = build_balancer algo g ~init:init_loads in
-  let self_loops = balancer.Core.Balancer.self_loops in
-  let steps = horizon_steps ~graph:g ~self_loops ~init:init_loads horizon in
-  run_prepared ?audit ?target ~graph:g ~graph_label:(graph_name graph) ~balancer
-    ~init:init_loads ~steps ()

@@ -71,12 +71,26 @@ type horizon =
           reaches discrepancy < 1 from the same start *)
 
 val horizon_steps :
-  graph:Graphs.Graph.t -> self_loops:int -> init:int array -> horizon -> int
-(** Resolve a horizon to a concrete step count (≥ 1).  Spectral gaps are
-    memoized per (graph, d°) so sweeps don't re-run power iteration. *)
+  gap:float ->
+  graph:Graphs.Graph.t ->
+  self_loops:int ->
+  init:int array ->
+  horizon ->
+  int
+(** Resolve a horizon to a concrete step count (≥ 1).  A
+    [Mixing_multiple] horizon is priced with [gap], the µ of the
+    balancing graph (from {!spec_gap} or {!spectral_gap}). *)
 
 val spectral_gap : graph:Graphs.Graph.t -> self_loops:int -> float
-(** Memoized µ of the balancing graph. *)
+(** µ of the balancing graph by power iteration, memoized per
+    (graph, d°) so sweeps don't re-run it. *)
+
+val spec_gap : graph_spec -> graph:Graphs.Graph.t -> self_loops:int -> float
+(** µ of the balancing graph built from the spec: the closed form of
+    {!Graphs.Spectral} for a cycle, torus, hypercube, complete graph or
+    clique-circulant, else {!spectral_gap}.  A closed form costs at
+    most O(n·d) where power iteration costs up to 50 000 sparse
+    products. *)
 
 type outcome = {
   graph_label : string;
@@ -106,19 +120,5 @@ val run :
 (** Build everything from specs and execute one simulation.  [target]
     both records the first hitting time of that discrepancy and, when
     given, lets the run continue to the full horizon (no early stop) so
-    the final discrepancy is still meaningful. *)
-
-val run_prepared :
-  ?audit:bool ->
-  ?target:int ->
-  ?stop_early:bool ->
-  graph:Graphs.Graph.t ->
-  graph_label:string ->
-  balancer:Core.Balancer.t ->
-  init:int array ->
-  steps:int ->
-  unit ->
-  outcome
-(** Same outcome record for callers that built the pieces themselves
-    (sweeps that reuse one graph).  [stop_early] (default false) stops
-    as soon as [target] is reached. *)
+    the final discrepancy is still meaningful.  The outcome's [gap] is
+    {!spec_gap}, which also prices a [Mixing_multiple] horizon. *)

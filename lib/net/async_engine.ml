@@ -111,18 +111,10 @@ let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
       ~degraded:!degraded ~stalled:!stalled
   in
   let series = ref [] in
-  let scan () =
-    let lo = ref cur.(0) and hi = ref cur.(0) in
-    for i = 1 to n - 1 do
-      let x = cur.(i) in
-      if x < !lo then lo := x;
-      if x > !hi then hi := x
-    done;
-    (!hi - !lo, !lo)
-  in
-  let d0, m0 = scan () in
-  let min_seen = ref m0 in
-  series := (0, d0) :: !series;
+  let sc = { Core.Engine.disc = 0; min = 0; total = 0 } in
+  Core.Engine.scan_into sc cur;
+  let min_seen = ref sc.min in
+  series := (0, sc.disc) :: !series;
   let deliver ~node ~tokens = cur.(node) <- cur.(node) + tokens in
   for t = 1 to steps do
     (match Faults.Schedule.events_at plan ~step:t with
@@ -142,30 +134,11 @@ let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
       else begin
         if stale then incr degraded;
         let x = cur.(u) in
-        balancer.Core.Balancer.assign ~step:t ~node:u ~load:x ~ports;
-        (* Same inline validation as Core.Engine: conservation and
-           non-negative sends on original ports. *)
-        let sum = ref 0 in
-        for k = 0 to dp - 1 do
-          sum := !sum + ports.(k);
-          if k < d && ports.(k) < 0 then
-            raise
-              (Core.Engine.Invariant_violation
-                 (Printf.sprintf
-                    "%s: node %d step %d sends %d (< 0) on original port %d"
-                    balancer.Core.Balancer.name u t ports.(k) k))
-        done;
-        if !sum <> x then
-          raise
-            (Core.Engine.Invariant_violation
-               (Printf.sprintf "%s: node %d step %d assigned %d tokens of load %d"
-                  balancer.Core.Balancer.name u t !sum x));
-        let kept = ref 0 in
-        for k = d to dp - 1 do
-          kept := !kept + ports.(k)
-        done;
-        if probing then moved := !moved + (x - !kept);
-        cur.(u) <- !kept;
+        let kept =
+          Core.Engine.node_step ~balancer ~tracker:None ~step:t ~node:u ~load:x ports
+        in
+        if probing then moved := !moved + (x - kept);
+        cur.(u) <- kept;
         for k = 0 to d - 1 do
           if ports.(k) <> 0 then
             Protocol.send proto ~now:t ~node:u ~port:k ~tokens:ports.(k)
@@ -179,7 +152,8 @@ let run ?(config = default_config) ?(plan = []) ?(watchdog = true)
     (match wd with
     | Some w -> Faults.Watchdog.check w ~step:t ~loads:cur
     | None -> ());
-    let disc, mn = scan () in
+    Core.Engine.scan_into sc cur;
+    let disc = sc.disc and mn = sc.min in
     if probing then begin
       Obs.Probe.on_round ~engine:"net" ~d_plus:dp ~step:t ~tokens_moved:!moved
         ~discrepancy:disc ~max_load:(mn + disc) ~min_load:mn ~loads:cur;

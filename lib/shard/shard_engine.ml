@@ -15,19 +15,11 @@ type shard_ctx = {
   inbox_slot : int array;    (* ... at which slot *)
   inbox_local : int array;   (* ... added into which of my local nodes *)
   tracker : Core.Fairness.t option;
-  mutable lo : int;          (* per-step min/max over my nodes *)
+  mutable lo : int;          (* per-step min/max/total over my nodes *)
   mutable hi : int;
+  mutable total : int;
   mutable moved : int;       (* per-step tokens sent on original ports *)
 }
-
-let scan_discrepancy_and_min loads =
-  let lo = ref loads.(0) and hi = ref loads.(0) in
-  for i = 1 to Array.length loads - 1 do
-    let x = loads.(i) in
-    if x < !lo then lo := x;
-    if x > !hi then hi := x
-  done;
-  (!hi - !lo, !lo)
 
 let build_contexts ~graph ~part ~d ~dp ~audit ~self_loops =
   let shards = part.Partition.shards in
@@ -75,6 +67,7 @@ let build_contexts ~graph ~part ~d ~dp ~audit ~self_loops =
              else None);
           lo = max_int;
           hi = min_int;
+          total = 0;
           moved = 0;
         })
   in
@@ -159,17 +152,18 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy
   let cur =
     match resume with None -> Array.copy init | Some s -> Array.copy s.Checkpoint.loads
   in
+  let sc = { Core.Engine.disc = 0; min = 0; total = 0 } in
+  Core.Engine.scan_into sc cur;
   (* Resume: rebuild the exact mid-run state the snapshot captured. *)
   let start, series0, min0, reached0 =
     match resume with
     | None ->
-      let d0, m0 = scan_discrepancy_and_min cur in
       let reached =
         match stop_at_discrepancy with
-        | Some target when d0 <= target -> Some 0
+        | Some target when sc.disc <= target -> Some 0
         | _ -> None
       in
-      (0, [ (0, d0) ], m0, reached)
+      (0, [ (0, sc.disc) ], sc.min, reached)
     | Some snap ->
       if snap.Checkpoint.n <> n || snap.Checkpoint.degree <> d then
         raise
@@ -221,10 +215,12 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy
   let min_seen = ref min0 in
   let reached = ref reached0 in
   let steps_done = ref start in
+  (* The round-total check's reference: the last round's total, or the
+     one the hook leaves. *)
+  let expected_total = ref sc.total in
   let phase_assign t w =
     let ctx = ctxs.(w) in
-    let b = balancers.(w) in
-    let assign = b.Core.Balancer.assign in
+    let balancer = balancers.(w) and tracker = ctx.tracker in
     let mine = ctx.mine and targets = ctx.targets in
     let acc = ctx.acc and ports = ctx.ports in
     let m = Array.length mine in
@@ -233,36 +229,13 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy
     for i = 0 to m - 1 do
       let u = mine.(i) in
       let x = cur.(u) in
-      assign ~step:t ~node:u ~load:x ~ports;
-      (* Same invariant enforcement (and messages) as Core.Engine.run. *)
-      let sum = ref 0 in
-      for k = 0 to dp - 1 do
-        sum := !sum + ports.(k);
-        if k < d && ports.(k) < 0 then
-          raise
-            (Core.Engine.Invariant_violation
-               (Printf.sprintf
-                  "%s: node %d step %d sends %d (< 0) on original port %d"
-                  b.Core.Balancer.name u t ports.(k) k))
-      done;
-      if !sum <> x then
-        raise
-          (Core.Engine.Invariant_violation
-             (Printf.sprintf "%s: node %d step %d assigned %d tokens of load %d"
-                b.Core.Balancer.name u t !sum x));
-      (match ctx.tracker with
-      | Some tr -> Core.Fairness.observe tr ~node:u ~load:x ~ports
-      | None -> ());
+      let kept = Core.Engine.node_step ~balancer ~tracker ~step:t ~node:u ~load:x ports in
       let base = i * d in
       for k = 0 to d - 1 do
         acc.(targets.(base + k)) <- acc.(targets.(base + k)) + ports.(k)
       done;
-      let kept = ref 0 in
-      for k = d to dp - 1 do
-        kept := !kept + ports.(k)
-      done;
-      if probing then ctx.moved <- ctx.moved + (x - !kept);
-      acc.(i) <- acc.(i) + !kept
+      if probing then ctx.moved <- ctx.moved + (x - kept);
+      acc.(i) <- acc.(i) + kept
     done
   in
   let phase_merge w =
@@ -276,14 +249,16 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy
       let u = mine.(ctx.inbox_local.(e)) in
       cur.(u) <- cur.(u) + ctxs.(ctx.inbox_shard.(e)).acc.(ctx.inbox_slot.(e))
     done;
-    let lo = ref max_int and hi = ref min_int in
+    let lo = ref max_int and hi = ref min_int and total = ref 0 in
     for i = 0 to m - 1 do
       let x = cur.(mine.(i)) in
       if x < !lo then lo := x;
-      if x > !hi then hi := x
+      if x > !hi then hi := x;
+      total := !total + x
     done;
     ctx.lo <- !lo;
-    ctx.hi <- !hi
+    ctx.hi <- !hi;
+    ctx.total <- !total
   in
   let write_checkpoint t =
     match checkpoint with
@@ -315,13 +290,17 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy
           Pool.run pool phase_merge;
           Obs.Prof.stop sp;
           steps_done := t;
-          let lo = ref max_int and hi = ref min_int in
+          let lo = ref max_int and hi = ref min_int and sum = ref 0 in
           Array.iter
             (fun ctx ->
               if ctx.lo < !lo then lo := ctx.lo;
-              if ctx.hi > !hi then hi := ctx.hi)
+              if ctx.hi > !hi then hi := ctx.hi;
+              sum := !sum + ctx.total)
             ctxs;
           let disc = !hi - !lo and mn = !lo in
+          (* Per-node checks cannot see a merge that drops or duplicates
+             a token; the round total can. *)
+          Core.Engine.check_total ~balancer:b0 ~step:t ~expected:!expected_total !sum;
           if probing then begin
             let moved = Array.fold_left (fun a ctx -> a + ctx.moved) 0 ctxs in
             Obs.Probe.on_round ~engine:"shard" ~d_plus:dp ~step:t
@@ -331,7 +310,14 @@ let run ?(audit = false) ?(sample_every = 1) ?hook ?stop_at_discrepancy
           if mn < !min_seen then min_seen := mn;
           if t mod sample_every = 0 || t = steps then series := (t, disc) :: !series;
           Obs.Export.poll ();
-          (match hook with Some f -> f t cur | None -> ());
+          (* A hook may add or remove tokens in place, as the fault
+             layer's does: the next round is checked against the total
+             it leaves. *)
+          (match hook with
+          | Some f ->
+            f t cur;
+            expected_total := Core.Loads.total cur
+          | None -> ());
           (match stop_at_discrepancy with
           | Some target when disc <= target && !reached = None -> reached := Some t
           | _ -> ());

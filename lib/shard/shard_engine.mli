@@ -10,13 +10,18 @@
 
     Each step runs as two pooled phases separated by barriers:
 
-    + {b assign}: every shard runs [assign] for its own nodes,
-      accumulating sends into a private buffer whose slots are
+    + {b assign}: every shard runs its own nodes through
+      {!Core.Engine.node_step}, the checked node step every engine
+      shares, accumulating sends into a private buffer whose slots are
       pre-resolved to either a local node or a halo (outbox) slot — one
       per distinct external neighbor;
     + {b halo merge}: every shard writes its own nodes' next loads and
       adds in the outbox contributions other shards accumulated for it,
-      then computes its local min/max load for the discrepancy series.
+      then computes its local min/max load and token total.
+
+    The coordinator checks every round's total against the last one, as
+    [Core.Engine.run] does, so a merge that loses or duplicates a token
+    raises [Core.Engine.Invariant_violation] in that round.
 
     Token counts are integers and addition is commutative, so the merge
     order cannot perturb results — determinism needs no further care.
@@ -52,8 +57,10 @@ val run :
   unit ->
   Core.Engine.result
 (** Options shared with [Core.Engine.run] ([audit], [sample_every],
-    [hook], [stop_at_discrepancy]) behave identically; [hook] observes
-    the shared load vector (do not mutate).
+    [hook], [stop_at_discrepancy]) behave identically; [hook] gets the
+    shared load vector and may add or remove tokens in place, as the
+    fault layer's does: the next round's total check is made against
+    the total it leaves, at the cost of one more pass over the vector.
 
     - [strategy] (default [Contiguous]): how nodes map to shards.
     - [checkpoint]: periodically snapshot (step, loads, balancer state,

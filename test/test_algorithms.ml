@@ -238,12 +238,16 @@ let prop_assignments_valid =
       in
       let dp = Core.Balancer.d_plus bal in
       let ports = Array.make dp 0 in
-      bal.Core.Balancer.assign ~step:1 ~node:0 ~load ~ports;
-      match Core.Balancer.validate_assignment bal ~load ~ports with
-      | Ok () ->
+      (* The engines' node step: conservation and non-negative original
+         ports, or an Invariant_violation. *)
+      match
+        Core.Engine.node_step ~balancer:bal ~tracker:None ~step:1 ~node:0 ~load ports
+      with
+      | kept ->
+        kept = Array.fold_left ( + ) 0 (Array.sub ports d (dp - d))
         (* Definition 2.1(i): every port gets at least ⌊x/d+⌋. *)
-        Array.for_all (fun v -> v >= load / dp) ports
-      | Error _ -> false)
+        && Array.for_all (fun v -> v >= load / dp) ports
+      | exception Core.Engine.Invariant_violation _ -> false)
 
 let prop_send_round_round_fair =
   QCheck.Test.make ~name:"send-round is round-fair for every load" ~count:500

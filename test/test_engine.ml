@@ -280,21 +280,50 @@ let negative_self_loop g ~self_loops =
         ports.(d) <- -1);
   }
 
-(* Each case runs through both [run ~steps:1] and [step]: the final
-   loads, or the violation text. *)
+(* Each case runs through [run ~steps:1] and [step], through the
+   sharded engine at one shard and at two (contiguous: nodes 0–1 and
+   2–3), and through the network engine on a reliable channel: every
+   engine checks its nodes with [Engine.node_step], so all give the same
+   final loads or the same violation text.  At two shards the first case
+   fails in both, and the pool reports the lowest shard's failure; the
+   dropped token's nodes share the second shard. *)
 let test_validation_precedence () =
   let g = Graphs.Gen.cycle 4 in
   let outcome f = try Ok (f ()) with Core.Engine.Invariant_violation m -> Error m in
   let check label expect make init =
     let balancer () = make g ~self_loops:1 in
-    Alcotest.(check (result (array int) string))
-      (label ^ " (run)") expect
-      (outcome (fun () ->
-           (Core.Engine.run ~graph:g ~balancer:(balancer ()) ~init ~steps:1 ())
-             .Core.Engine.final_loads));
-    Alcotest.(check (result (array int) string))
-      (label ^ " (step)") expect
-      (outcome (fun () -> Core.Engine.step ~graph:g ~balancer:(balancer ()) ~step:1 init))
+    let engines =
+      [
+        ( "run",
+          fun () ->
+            (Core.Engine.run ~graph:g ~balancer:(balancer ()) ~init ~steps:1 ())
+              .Core.Engine.final_loads );
+        ("step", fun () -> Core.Engine.step ~graph:g ~balancer:(balancer ()) ~step:1 init);
+        ( "1 shard",
+          fun () ->
+            (Shard.Shard_engine.run ~shards:1 ~graph:g ~make_balancer:balancer ~init
+               ~steps:1 ())
+              .Core.Engine.final_loads );
+        ( "2 shards",
+          fun () ->
+            (Shard.Shard_engine.run ~shards:2 ~graph:g ~make_balancer:balancer ~init
+               ~steps:1 ())
+              .Core.Engine.final_loads );
+        (* Without the watchdog, which would flag the negative loads of
+           a balancer that claims the NL property. *)
+        ( "net",
+          fun () ->
+            (Net.Async_engine.run ~watchdog:false ~graph:g ~balancer:(balancer ()) ~init
+               ~steps:1 ())
+              .Net.Async_engine.result.Core.Engine.final_loads );
+      ]
+    in
+    List.iter
+      (fun (engine, f) ->
+        Alcotest.(check (result (array int) string))
+          (Printf.sprintf "%s (%s)" label engine)
+          expect (outcome f))
+      engines
   in
   check "negative original port beats conservation"
     (Error "negative-and-leaky: node 0 step 1 sends -1 (< 0) on original port 0")

@@ -173,11 +173,12 @@ let test_algo_specs_build () =
 let test_horizon_fixed_and_mixing () =
   let g = Harness.Experiment.build_graph (Harness.Experiment.Complete 8) in
   let init = Core.Loads.point_mass ~n:8 ~total:80 in
+  let gap = Graphs.Spectral.complete_gap ~n:8 ~self_loops:7 in
   check_int "fixed" 42
-    (Harness.Experiment.horizon_steps ~graph:g ~self_loops:7 ~init
+    (Harness.Experiment.horizon_steps ~gap ~graph:g ~self_loops:7 ~init
        (Harness.Experiment.Fixed_steps 42));
   let t =
-    Harness.Experiment.horizon_steps ~graph:g ~self_loops:7 ~init
+    Harness.Experiment.horizon_steps ~gap ~graph:g ~self_loops:7 ~init
       (Harness.Experiment.Mixing_multiple 4.0)
   in
   check_bool "mixing positive" true (t >= 1 && t < 1000)
@@ -185,11 +186,29 @@ let test_horizon_fixed_and_mixing () =
 let test_horizon_continuous () =
   let g = Harness.Experiment.build_graph (Harness.Experiment.Complete 8) in
   let init = Core.Loads.point_mass ~n:8 ~total:800 in
+  let gap = Graphs.Spectral.complete_gap ~n:8 ~self_loops:7 in
   let t =
-    Harness.Experiment.horizon_steps ~graph:g ~self_loops:7 ~init
+    Harness.Experiment.horizon_steps ~gap ~graph:g ~self_loops:7 ~init
       (Harness.Experiment.Continuous_multiple 2.0)
   in
   check_bool "continuous positive" true (t >= 2 && t < 1000)
+
+(* [spec_gap] takes the spec's closed form where there is one and the
+   memoized power iteration for a random regular graph. *)
+let test_spec_gap_dispatch () =
+  let open Harness.Experiment in
+  let gap spec ~self_loops = spec_gap spec ~graph:(build_graph spec) ~self_loops in
+  Alcotest.(check (float 0.0))
+    "torus" (Graphs.Spectral.torus2d_gap ~side:64 ~self_loops:4)
+    (gap (Torus2d 64) ~self_loops:4);
+  Alcotest.(check (float 0.0)) "hypercube, d°=1" 0.5 (gap (Hypercube 3) ~self_loops:1);
+  Alcotest.(check (float 0.0)) "clique-circulant"
+    (Graphs.Spectral.circulant_gap ~n:64 ~offsets:[ 1; 2; 32 ] ~self_loops:5)
+    (gap (Clique_circulant { n = 64; d = 5 }) ~self_loops:5);
+  let spec = Random_regular { n = 64; d = 6; seed = 3 } in
+  let graph = build_graph spec in
+  Alcotest.(check (float 0.0)) "random regular" (spectral_gap ~graph ~self_loops:6)
+    (spec_gap spec ~graph ~self_loops:6)
 
 let test_run_end_to_end () =
   let outcome =
@@ -257,6 +276,7 @@ let () =
           Alcotest.test_case "algo specs" `Quick test_algo_specs_build;
           Alcotest.test_case "horizons" `Quick test_horizon_fixed_and_mixing;
           Alcotest.test_case "continuous horizon" `Quick test_horizon_continuous;
+          Alcotest.test_case "spec gap" `Quick test_spec_gap_dispatch;
           Alcotest.test_case "end to end" `Quick test_run_end_to_end;
           Alcotest.test_case "time to target" `Quick test_run_records_time_to_target;
         ] );

@@ -88,6 +88,47 @@ let test_circulant_gap_closed_form () =
     true
     (feq ~eps:1e-5 numeric exact)
 
+(* Every closed form against all eigenvalues of the walk on G⁺ (dense
+   Jacobi), over self-loop counts that put the largest modulus at either
+   end of the spectrum: power iteration cannot separate λ₂ from a −λ₂ of
+   the same modulus, the closed forms can. *)
+let test_closed_forms_against_jacobi () =
+  List.iter
+    (fun (name, g, closed_form) ->
+      for self_loops = 0 to 5 do
+        let ev =
+          Linalg.Jacobi.eigenvalues_of_transition
+            (Graphs.Spectral.transition_matrix g ~self_loops)
+        in
+        let n = Array.length ev in
+        let l = Float.max (abs_float ev.(1)) (abs_float ev.(n - 1)) in
+        Alcotest.(check (float 1e-9))
+          (Printf.sprintf "%s, d°=%d" name self_loops)
+          (Float.max 1e-12 (1.0 -. l))
+          (closed_form ~self_loops)
+      done)
+    (let open Graphs in
+     let case name g gap = (name, g, gap) in
+     List.map (fun n -> case (Printf.sprintf "C%d" n) (Gen.cycle n) (Spectral.cycle_gap ~n))
+       [ 3; 4; 7; 12 ]
+     @ List.map
+         (fun side ->
+           case (Printf.sprintf "torus %dx%d" side side) (Gen.torus [ side; side ])
+             (Spectral.torus2d_gap ~side))
+         [ 3; 4; 5 ]
+     @ List.map
+         (fun r -> case (Printf.sprintf "Q%d" r) (Gen.hypercube r) (Spectral.hypercube_gap ~r))
+         [ 1; 3; 5 ]
+     @ List.map
+         (fun n -> case (Printf.sprintf "K%d" n) (Gen.complete n) (Spectral.complete_gap ~n))
+         [ 2; 3; 9 ]
+     @ List.map
+         (fun (n, d) ->
+           let offsets = Gen.clique_circulant_offsets ~n ~d in
+           case (Printf.sprintf "clique-circulant(%d,d=%d)" n d) (Gen.clique_circulant ~n ~d)
+             (Spectral.circulant_gap ~n ~offsets))
+         [ (8, 3); (12, 4); (16, 5) ])
+
 let test_gap_monotone_in_expansion () =
   (* The expander should have a much larger gap than the cycle of the
      same size. *)
@@ -167,6 +208,7 @@ let () =
             test_gap_matches_closed_form_complete;
           Alcotest.test_case "torus closed form" `Quick test_gap_matches_closed_form_torus;
           Alcotest.test_case "circulant closed form" `Quick test_circulant_gap_closed_form;
+          Alcotest.test_case "closed forms vs Jacobi" `Quick test_closed_forms_against_jacobi;
           Alcotest.test_case "expander vs cycle" `Quick test_gap_monotone_in_expansion;
         ] );
       ( "horizon",
