@@ -449,7 +449,7 @@ let run_scenario_fuzz ?(json_path = "BENCH_scenario.json") ~quick () =
     match Scenario.Check.scenario ~at:Scenario.Ast.no_pos sc with
     | Error _ -> incr violations
     | Ok t -> (
-      match (Scenario.Compile.execute t, Scenario.Compile.execute t) with
+      match (Scenario.Compile.run t, Scenario.Compile.run t) with
       | Ok a, Ok b ->
         let k = Scenario.Compile.kind t in
         Hashtbl.replace kinds k (1 + Option.value ~default:0 (Hashtbl.find_opt kinds k));

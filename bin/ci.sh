@@ -217,13 +217,13 @@ cmp "$open_dir/loads" "$open_dir/loads.net" || {
 }
 rm -rf "$open_dir"
 
-echo "== mutants: every catalogued kernel and engine bug is caught by its tests =="
+echo "== mutants: every catalogued kernel, engine and lowering bug is caught by its tests =="
 # test/mutants/*.mut lists bugs in the rotor kernel and the packed
-# targets, and in the engines' node step, step_into and the sharded
-# merge; each is made again in a scratch copy and the
-# test executables named for it must fail.  The driver itself must
-# refuse an entry whose source text is absent and fail on a no-op entry
-# that is not marked equivalent.
+# targets, in the engines' node step, step_into and the sharded merge,
+# and in Scenario.Compile's lowering onto the engines; each is made
+# again in a scratch copy and the test executables named for it must
+# fail.  run.py itself must refuse an entry whose source text is
+# absent and fail on a no-op entry that is not marked equivalent.
 python3 test/mutants/run.py
 mut_tmp=$(mktemp -d -t lb_ci_mut.XXXXXX)
 printf 'mutant absent\nfile lib/core/loads.ml\nkills test/test_loads.exe\n@@ from\nno such text\n@@ to\n\n@@ end\n' \

@@ -108,7 +108,7 @@ let run_cmd_run root quick path =
                it.label
                (Option.value ~default:"" (Scenario.Compile.cluster_command t)))
         | Scenario.Check.Closed _ | Scenario.Check.Open _ -> (
-          match Scenario.Compile.execute t with
+          match Scenario.Compile.run t with
           | Ok o -> print_outcome it.label o
           | Error msg -> die_code 3 (it.label ^ ": " ^ msg))))
     items;
@@ -130,7 +130,7 @@ let violation sc =
   match Scenario.Check.scenario ~at:Scenario.Ast.no_pos sc with
   | Error (msg, _) -> Some ("ill-typed: " ^ msg)
   | Ok t -> (
-    match (Scenario.Compile.execute t, Scenario.Compile.execute t) with
+    match (Scenario.Compile.run t, Scenario.Compile.run t) with
     | Error msg, _ | _, Error msg -> Some ("execution error: " ^ msg)
     | Ok o1, Ok o2 ->
       if not (same_outcome o1 o2) then Some "replay diverged (nondeterminism)"

@@ -14,7 +14,16 @@
      lb_sim --graph torus:16x16 --algo send-floor --steps 2000 \
             --fault-plan "crash:0.05@200:keep:spill; outage:0.1@600+50; shock:500@1200" \
             --fault-seed 7 --require-recovery
+
+   The flags are validated here and mapped onto one typed run
+   (Scenario.Check.typed); Scenario.Compile prepares it and runs the
+   engine it selects, the same lowering lb_scn runs .lbs files through.
+   This file only prints: a preamble from the prepared run, a summary
+   from the engine's report.
 *)
+
+module Check = Scenario.Check
+module Compile = Scenario.Compile
 
 exception Spec_error of string
 
@@ -27,23 +36,6 @@ let positive what v =
 let non_negative what v =
   if v < 0 then spec_fail "%s must be non-negative (got %d)" what v;
   v
-
-(* Spec parsing lives in Harness.Experiment so lb_cluster and lb_node
-   accept the same grammar; these wrappers only adapt the error shape. *)
-let parse_graph s =
-  match Harness.Experiment.graph_of_string s with
-  | Ok spec -> spec
-  | Error m -> raise (Spec_error m)
-
-let parse_init s =
-  match Harness.Experiment.init_of_string s with
-  | Ok spec -> spec
-  | Error m -> raise (Spec_error m)
-
-let parse_algo ~self_loops ~seed s =
-  match Harness.Experiment.algo_of_string ?self_loops ~seed s with
-  | Ok f -> Ok (fun d -> f ~degree:d)
-  | Error m -> Error m
 
 let parse_horizon steps horizon =
   match (steps, horizon) with
@@ -79,7 +71,7 @@ let parse_partition = function
 (* --arrivals uniform | bursty[:PERIOD,AMP] | point:N | hotspot, scaled
    by --arrival-rate.  Fixed-placement processes round the rate to a
    whole batch; uniform/bursty keep it as a Poisson mean. *)
-let parse_arrivals ~rng ~rate s =
+let parse_arrivals ~rate s =
   let fail () =
     spec_fail
       "bad arrivals spec %S (expected uniform, bursty[:PERIOD,AMP], point:N or \
@@ -92,21 +84,18 @@ let parse_arrivals ~rng ~rate s =
   in
   let batch = int_of_float (Float.round rate) in
   match String.split_on_char ':' s with
-  | [ "uniform" ] -> Workload.Arrival.poisson ~rng ~rate
-  | [ "bursty" ] ->
-    Workload.Arrival.diurnal ~period:100 ~amplitude:0.5
-      (Workload.Arrival.poisson ~rng ~rate)
+  | [ "uniform" ] -> Check.Poisson rate
+  | [ "bursty" ] -> Check.Diurnal { period = 100; amplitude = 0.5; body = Poisson rate }
   | [ "bursty"; args ] -> (
     match String.split_on_char ',' args with
     | [ p; a ] ->
-      Workload.Arrival.diurnal ~period:(positive "bursty period" (int_of p))
-        ~amplitude:(float_of a)
-        (Workload.Arrival.poisson ~rng ~rate)
+      let amplitude = float_of a in
+      let period = positive "bursty period" (int_of p) in
+      Check.Diurnal { period; amplitude; body = Poisson rate }
     | _ -> fail ())
   | [ "point"; node ] ->
-    Workload.Arrival.point ~node:(non_negative "arrival node" (int_of node))
-      ~per_round:batch
-  | [ "hotspot" ] -> Workload.Arrival.hotspot ~per_round:batch
+    Check.Point { node = non_negative "arrival node" (int_of node); batch }
+  | [ "hotspot" ] -> Check.Hotspot batch
   | _ -> fail ()
 
 (* --burst SIZE@ROUND[+WIDTH][:node=N] *)
@@ -132,11 +121,11 @@ let parse_burst s =
         (positive "burst round" (int_of at), positive "burst width" (int_of w))
       | _ -> fail ()
     in
-    Workload.Arrival.flash_crowd ~width ~at ~size ~node ()
+    Check.Flash { size; at; node; width }
   | _ -> fail ()
 
 (* --lifetime immortal | service:R | geometric:M | fixed:L | work:B *)
-let parse_lifetime ~rng s =
+let parse_lifetime s =
   let fail () =
     spec_fail
       "bad lifetime spec %S (expected immortal, service:RATE, geometric:MEAN, \
@@ -148,12 +137,27 @@ let parse_lifetime ~rng s =
     match float_of_string_opt x with Some v -> v | None -> fail ()
   in
   match String.split_on_char ':' s with
-  | [ "immortal" ] -> Workload.Lifetime.immortal
-  | [ "service"; r ] -> Workload.Lifetime.service ~rate:(int_of r)
-  | [ "geometric"; m ] -> Workload.Lifetime.geometric ~rng ~mean:(float_of m)
-  | [ "fixed"; l ] -> Workload.Lifetime.fixed ~rng ~rounds:(int_of l)
-  | [ "work"; b ] -> Workload.Lifetime.uniform_attempts ~rng ~per_round:(int_of b)
+  | [ "immortal" ] -> Check.Immortal
+  | [ "service"; r ] -> Check.Service (int_of r)
+  | [ "geometric"; m ] -> Check.Geometric (float_of m)
+  | [ "fixed"; l ] -> Check.Fixed (int_of l)
+  | [ "work"; b ] -> Check.Work (int_of b)
   | _ -> fail ()
+
+(* The open system's arrival process: --arrivals, then --hotspot, then
+   --burst, overlaid in that order. *)
+let open_arrival ~arrival_rate ~arrivals ~hotspot ~burst =
+  let rate = Option.value ~default:8.0 arrival_rate in
+  match
+    List.filter_map Fun.id
+      [
+        Option.map (parse_arrivals ~rate) arrivals;
+        Option.map (fun b -> Check.Hotspot (non_negative "--hotspot" b)) hotspot;
+        Option.map parse_burst burst;
+      ]
+  with
+  | p :: rest -> List.fold_left (fun a b -> Check.Plus (a, b)) p rest
+  | [] -> spec_fail "open-system mode needs at least one arrival source"
 
 let die msg =
   prerr_endline ("lb_sim: " ^ msg);
@@ -181,15 +185,21 @@ let dump_loads_to path loads =
   | () -> ()
   | exception Sys_error msg -> die (Printf.sprintf "--dump-loads: %s" msg)
 
-let print_summary ~graph_label ~algo_label ~n ~degree ~self_loops ~gap
-    ~initial_discrepancy ~horizon ~target ~time_to_target
+let print_graph_and_algo (p : Compile.prepared) =
+  let degree = Graphs.Graph.degree p.graph in
+  Printf.printf "graph:        %s (n=%d, d=%d)\n"
+    (Harness.Experiment.graph_name p.typed.graph)
+    (Graphs.Graph.n p.graph) degree;
+  let self_loops = p.balancer.Core.Balancer.self_loops in
+  Printf.printf "algorithm:    %s (d°=%d, d⁺=%d)\n" p.balancer.Core.Balancer.name
+    self_loops (degree + self_loops)
+
+let print_summary (p : Compile.prepared) ~target ~time_to_target
     (result : Core.Engine.result) =
-  Printf.printf "graph:        %s (n=%d, d=%d)\n" graph_label n degree;
-  Printf.printf "algorithm:    %s (d°=%d, d⁺=%d)\n" algo_label self_loops
-    (degree + self_loops);
-  Printf.printf "spectral gap: µ = %.6g\n" gap;
-  Printf.printf "initial K:    %d\n" initial_discrepancy;
-  Printf.printf "steps run:    %d (horizon %d)\n" result.Core.Engine.steps_run horizon;
+  print_graph_and_algo p;
+  Printf.printf "spectral gap: µ = %.6g\n" (Lazy.force p.gap);
+  Printf.printf "initial K:    %d\n" (Core.Loads.discrepancy p.init);
+  Printf.printf "steps run:    %d (horizon %d)\n" result.Core.Engine.steps_run p.steps;
   Printf.printf "final disc:   %d\n"
     (Core.Loads.discrepancy result.Core.Engine.final_loads);
   (match target with
@@ -203,303 +213,171 @@ let print_summary ~graph_label ~algo_label ~n ~degree ~self_loops ~gap
   | Some rep -> Format.printf "fairness audit:@\n%a@." Core.Fairness.pp_report rep
   | None -> ()
 
-let run_sharded ~audit ~target ~series ~dump_loads ~shards ~strategy ~checkpoint_path
-    ~checkpoint_every ~resume ~graph_spec ~algo_spec ~init_spec ~horizon_spec () =
-  let g = Harness.Experiment.build_graph graph_spec in
-  let n = Graphs.Graph.n g in
-  let init = Harness.Experiment.build_init init_spec ~n in
-  let make_balancer () = Harness.Experiment.build_balancer algo_spec g ~init in
-  let probe = make_balancer () in
-  let self_loops = probe.Core.Balancer.self_loops in
-  let gap = Harness.Experiment.spec_gap graph_spec ~graph:g ~self_loops in
-  let steps =
-    Harness.Experiment.horizon_steps ~gap ~graph:g ~self_loops ~init horizon_spec
-  in
-  let part = Shard.Partition.make ~strategy ~shards g in
-  let pstats = Shard.Partition.stats part g in
-  Printf.printf "shards:       %d (%s partition, %d cut edges, imbalance %.3f)\n"
-    shards
-    (Shard.Partition.strategy_name strategy)
-    pstats.Shard.Partition.cut_edges pstats.Shard.Partition.max_imbalance;
-  let checkpoint =
-    match checkpoint_path with
-    | Some path ->
-      Printf.printf "checkpoint:   %s (every %d steps)\n" path checkpoint_every;
-      Some { Shard.Shard_engine.path; every = checkpoint_every }
-    | None -> None
-  in
-  let resume_snap =
-    if not resume then None
-    else
-      match checkpoint_path with
-      | None -> die "--resume requires --checkpoint PATH"
-      | Some path ->
-        (* Recover survives a corrupted primary: the checksum rejects it
-           and the rotated .prev copy is used instead. *)
-        let r = Shard.Checkpoint.recover ~path () in
-        List.iter
-          (fun (_, err) ->
-            Printf.printf "rejected:     %s\n" (Shard.Checkpoint.error_message err))
-          r.Shard.Checkpoint.rejected;
-        Printf.printf "resuming:     %s%s\n"
-          (Shard.Checkpoint.describe r.Shard.Checkpoint.snapshot)
-          (match r.Shard.Checkpoint.source with
-          | Shard.Checkpoint.Primary -> ""
-          | Shard.Checkpoint.Rotated ->
-            Printf.sprintf " (from rotated copy %s)" (Shard.Checkpoint.prev_path path));
-        Some r.Shard.Checkpoint.snapshot
-  in
-  let first_hit = ref None in
-  let hook =
-    match target with
-    | Some tgt ->
-      Some
-        (fun t loads ->
-          if !first_hit = None && Core.Loads.discrepancy loads <= tgt then
-            first_hit := Some t)
-    | None -> None
-  in
-  let t0 = Unix.gettimeofday () in
-  let result =
-    Shard.Shard_engine.run ~audit
-      ~sample_every:(max 1 (steps / 64))
-      ?hook ~strategy ?checkpoint ?resume:resume_snap ~shards ~graph:g
-      ~make_balancer ~init ~steps ()
-  in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let time_to_target =
-    match target with
-    | None -> None
-    | Some tgt -> if Core.Loads.discrepancy init <= tgt then Some 0 else !first_hit
-  in
-  print_summary ~graph_label:(Harness.Experiment.graph_name graph_spec)
-    ~algo_label:probe.Core.Balancer.name ~n ~degree:(Graphs.Graph.degree g)
-    ~self_loops
-    ~gap
-    ~initial_discrepancy:(Core.Loads.discrepancy init)
-    ~horizon:steps ~target ~time_to_target result;
-  let steps_executed =
-    result.Core.Engine.steps_run
-    - (match resume_snap with Some s -> s.Shard.Checkpoint.step | None -> 0)
-  in
-  if elapsed > 0.0 && steps_executed > 0 then
-    Printf.printf "throughput:   %.0f steps/sec (%.2fs wall)\n"
-      (float_of_int steps_executed /. elapsed)
-      elapsed;
-  (match dump_loads with
-  | Some p -> dump_loads_to p result.Core.Engine.final_loads
-  | None -> ());
-  if series then begin
-    print_endline "step,discrepancy";
-    Array.iter (fun (t, d) -> Printf.printf "%d,%d\n" t d) result.Core.Engine.series
-  end
+let print_fault_plan (p : Compile.prepared) faults ~count ~unit =
+  Printf.printf "fault plan:   %d %s, seed %d (%s)\n" count unit p.typed.fault_seed
+    (String.concat "; " (List.map Faults.Schedule.spec_to_string faults))
 
-let run_faulted ~series ~dump_loads ~shards ~strategy ~fault_specs ~fault_seed ~recovery_eps
-    ~require_recovery ~graph_spec ~algo_spec ~init_spec ~horizon_spec () =
-  let g = Harness.Experiment.build_graph graph_spec in
-  let n = Graphs.Graph.n g in
-  let init = Harness.Experiment.build_init init_spec ~n in
-  let make_balancer () = Harness.Experiment.build_balancer algo_spec g ~init in
-  let probe = make_balancer () in
-  let self_loops = probe.Core.Balancer.self_loops in
-  let gap = Harness.Experiment.spec_gap graph_spec ~graph:g ~self_loops in
-  let steps =
-    Harness.Experiment.horizon_steps ~gap ~graph:g ~self_loops ~init horizon_spec
-  in
-  let plan = Faults.Schedule.realize ~seed:fault_seed ~graph:g fault_specs in
-  Printf.printf "fault plan:   %d events, seed %d (%s)\n" (List.length plan)
-    fault_seed
-    (String.concat "; " (List.map Faults.Schedule.spec_to_string fault_specs));
-  let mode =
-    match shards with
-    | None -> Faults.Engine.Sequential
-    | Some shards ->
-      Printf.printf "shards:       %d (%s partition)\n" shards
-        (Shard.Partition.strategy_name strategy);
-      Faults.Engine.Sharded { shards; strategy }
-  in
-  let report =
-    Faults.Engine.run ~mode ?eps:recovery_eps
-      ~sample_every:(max 1 (steps / 64))
-      ~graph:g ~make_balancer ~plan ~init ~steps ()
-  in
-  print_summary ~graph_label:(Harness.Experiment.graph_name graph_spec)
-    ~algo_label:probe.Core.Balancer.name ~n ~degree:(Graphs.Graph.degree g)
-    ~self_loops
-    ~gap
-    ~initial_discrepancy:(Core.Loads.discrepancy init)
-    ~horizon:steps ~target:None ~time_to_target:None report.Faults.Engine.result;
-  List.iter print_endline (Faults.Engine.report_lines report);
-  if series then begin
-    print_endline "step,discrepancy";
-    Array.iter
-      (fun (t, d) -> Printf.printf "%d,%d\n" t d)
-      report.Faults.Engine.result.Core.Engine.series
-  end;
-  (match dump_loads with
-  | Some p -> dump_loads_to p report.Faults.Engine.result.Core.Engine.final_loads
-  | None -> ());
-  if require_recovery && not (Faults.Engine.all_recovered report) then begin
-    prerr_endline "lb_sim: --require-recovery: some fault episodes did not recover";
-    exit 3
-  end
-
-let run_net ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~graph_spec ~algo_spec
-    ~init_spec ~horizon_spec () =
-  let g = Harness.Experiment.build_graph graph_spec in
-  let n = Graphs.Graph.n g in
-  let init = Harness.Experiment.build_init init_spec ~n in
-  let balancer = Harness.Experiment.build_balancer algo_spec g ~init in
-  let self_loops = balancer.Core.Balancer.self_loops in
-  let gap = Harness.Experiment.spec_gap graph_spec ~graph:g ~self_loops in
-  let steps =
-    Harness.Experiment.horizon_steps ~gap ~graph:g ~self_loops ~init horizon_spec
-  in
-  if fault_specs <> [] then
-    Printf.printf "fault plan:   %d specs, seed %d (%s)\n"
-      (List.length fault_specs) fault_seed
-      (String.concat "; " (List.map Faults.Schedule.spec_to_string fault_specs));
-  let plan = Faults.Schedule.realize ~seed:fault_seed ~graph:g fault_specs in
+let print_network (net : Check.net) =
   Printf.printf "network:      %s; %s; staleness σ=%d; net seed %d\n"
-    (Net.Channel.config_to_string net_cfg.Net.Async_engine.channel)
-    (Net.Protocol.config_to_string net_cfg.Net.Async_engine.protocol)
-    net_cfg.Net.Async_engine.staleness net_cfg.Net.Async_engine.seed;
-  let report =
-    Net.Async_engine.run ~config:net_cfg ~plan ~graph:g ~balancer ~init ~steps ()
-  in
-  print_summary ~graph_label:(Harness.Experiment.graph_name graph_spec)
-    ~algo_label:balancer.Core.Balancer.name ~n ~degree:(Graphs.Graph.degree g)
-    ~self_loops
-    ~gap
-    ~initial_discrepancy:(Core.Loads.discrepancy init)
-    ~horizon:steps ~target:None ~time_to_target:None report.Net.Async_engine.result;
-  List.iter print_endline (Net.Async_engine.report_lines report);
-  if series then begin
-    print_endline "step,discrepancy";
-    Array.iter
-      (fun (t, d) -> Printf.printf "%d,%d\n" t d)
-      report.Net.Async_engine.result.Core.Engine.series
-  end;
-  (match dump_loads with
-  | Some p -> dump_loads_to p report.Net.Async_engine.result.Core.Engine.final_loads
-  | None -> ());
-  if not report.Net.Async_engine.drained then
-    die_invariant
-      (Printf.sprintf "network failed to quiesce within %d drain rounds"
-         net_cfg.Net.Async_engine.max_drain_rounds);
-  if not (Net.Async_engine.conserved report) then
-    die_invariant
-      (Printf.sprintf "net ledger unbalanced: total %d, expected %d"
-         report.Net.Async_engine.final_total
-         (report.Net.Async_engine.initial_total + report.Net.Async_engine.injected
-        - report.Net.Async_engine.lost))
+    (Net.Channel.config_to_string net.channel)
+    (Net.Protocol.config_to_string net.protocol)
+    net.staleness net.net_seed
 
-let run_workload ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~arrivals
-    ~arrival_rate ~burst ~hotspot ~lifetime ~warmup ~workload_seed ~rounds
-    ~graph_spec ~algo_spec ~init_spec () =
-  let g = Harness.Experiment.build_graph graph_spec in
-  let n = Graphs.Graph.n g in
-  let init = Harness.Experiment.build_init init_spec ~n in
-  let balancer = Harness.Experiment.build_balancer algo_spec g ~init in
-  let self_loops = balancer.Core.Balancer.self_loops in
-  (* One master stream; arrival and lifetime draws come from split
-     children, so adding a --lifetime never perturbs the arrival trace. *)
-  let master = Prng.Splitmix.create workload_seed in
-  let arrival_rng = Prng.Splitmix.split master in
-  let lifetime_rng = Prng.Splitmix.split master in
-  let rate = Option.value ~default:8.0 arrival_rate in
-  let parts =
-    List.concat
-      [
-        (match arrivals with
-        | Some s -> [ parse_arrivals ~rng:arrival_rng ~rate s ]
-        | None -> []);
-        (match hotspot with
-        | Some b -> [ Workload.Arrival.hotspot ~per_round:(non_negative "--hotspot" b) ]
-        | None -> []);
-        (match burst with Some s -> [ parse_burst s ] | None -> []);
-      ]
+(* What lb_sim prints before the run, path by path.  The realized plan
+   and the resumed checkpoint are forced where the line that names them
+   is printed (the network path names the plan by its specs and realizes
+   it before the network line), so a bad plan or an unreadable
+   checkpoint fails right after the lines before it. *)
+let print_preamble (p : Compile.prepared) =
+  let events () = List.length (Lazy.force p.plan) in
+  match p.system with
+  | Compile.Open_system { faults; net; _ } ->
+    if faults <> [] then print_fault_plan p faults ~count:(events ()) ~unit:"events";
+    Option.iter print_network net
+  | Compile.Closed_system { net = Some net; faults; _ } ->
+    if faults <> [] then
+      print_fault_plan p faults ~count:(List.length faults) ~unit:"specs";
+    ignore (events ());
+    print_network net
+  | Compile.Closed_system ({ faults = _ :: _; _ } as c) ->
+    print_fault_plan p c.faults ~count:(events ()) ~unit:"events";
+    Option.iter
+      (fun (s : Check.shards) ->
+        Printf.printf "shards:       %d (%s partition)\n" s.count
+          (Shard.Partition.strategy_name s.partition))
+      c.shards
+  | Compile.Closed_system { shards = None; _ } -> ()
+  | Compile.Closed_system ({ shards = Some s; _ } as c) -> (
+    let pstats =
+      Shard.Partition.stats
+        (Shard.Partition.make ~strategy:s.partition ~shards:s.count p.graph)
+        p.graph
+    in
+    Printf.printf "shards:       %d (%s partition, %d cut edges, imbalance %.3f)\n"
+      s.count
+      (Shard.Partition.strategy_name s.partition)
+      pstats.Shard.Partition.cut_edges pstats.Shard.Partition.max_imbalance;
+    Option.iter
+      (fun (k : Check.checkpoint) ->
+        Printf.printf "checkpoint:   %s (every %d steps)\n" k.path k.every)
+      c.checkpoint;
+    match Lazy.force p.resume with
+    | None -> ()
+    | Some r ->
+      (* Recover survives a corrupted primary: the checksum rejects it
+         and the rotated .prev copy is used instead. *)
+      List.iter
+        (fun (_, err) ->
+          Printf.printf "rejected:     %s\n" (Shard.Checkpoint.error_message err))
+        r.Shard.Checkpoint.rejected;
+      Printf.printf "resuming:     %s%s\n"
+        (Shard.Checkpoint.describe r.Shard.Checkpoint.snapshot)
+        (match (r.Shard.Checkpoint.source, c.checkpoint) with
+        | Shard.Checkpoint.Rotated, Some k ->
+          Printf.sprintf " (from rotated copy %s)" (Shard.Checkpoint.prev_path k.path)
+        | _ -> ""))
+
+let print_workload (p : Compile.prepared) =
+  match (p.system, p.typed.run) with
+  | Compile.Open_system { arrival; lifetime; _ }, Check.Open { workload_seed; _ } ->
+    Printf.printf "workload:     arrivals %s; lifetime %s; seed %d\n"
+      (Workload.Arrival.name arrival)
+      (Workload.Lifetime.name lifetime)
+      workload_seed
+  | _ -> ()
+
+(* What lb_sim prints after the run, from the engine's report, and the
+   exit code the run's invariants ask for. *)
+let print_report (p : Compile.prepared) ~target ~series ~dump_loads
+    ~require_recovery ~elapsed report =
+  let dump loads = Option.iter (fun path -> dump_loads_to path loads) dump_loads in
+  let step_series (result : Core.Engine.result) =
+    if series then begin
+      print_endline "step,discrepancy";
+      Array.iter (fun (t, d) -> Printf.printf "%d,%d\n" t d) result.Core.Engine.series
+    end
   in
-  let arrival =
-    match parts with
-    | [] -> spec_fail "open-system mode needs at least one arrival source"
-    | p :: rest -> List.fold_left Workload.Arrival.overlay p rest
-  in
-  let lifetime =
-    match lifetime with
-    | Some s -> parse_lifetime ~rng:lifetime_rng s
-    | None -> Workload.Lifetime.immortal
-  in
-  let plan = Faults.Schedule.realize ~seed:fault_seed ~graph:g fault_specs in
-  if fault_specs <> [] then
-    Printf.printf "fault plan:   %d events, seed %d (%s)\n" (List.length plan)
-      fault_seed
-      (String.concat "; " (List.map Faults.Schedule.spec_to_string fault_specs));
-  let mode =
-    match net_cfg with
-    | Some config ->
-      Printf.printf "network:      %s; %s; staleness σ=%d; net seed %d\n"
-        (Net.Channel.config_to_string config.Net.Async_engine.channel)
-        (Net.Protocol.config_to_string config.Net.Async_engine.protocol)
-        config.Net.Async_engine.staleness config.Net.Async_engine.seed;
-      Harness.Openrun.Lossy { config; plan }
-    | None ->
-      if fault_specs <> [] then Harness.Openrun.Faulty { plan }
-      else Harness.Openrun.Plain
-  in
-  let config =
-    Workload.Engine.config
-      ?warmup:(Option.map (fun k -> Workload.Engine.Fixed_warmup k) warmup)
-      ~arrival ~lifetime ~rounds ()
-  in
-  let r = Harness.Openrun.run ~mode ~config ~graph:g ~balancer ~init () in
-  let band = Harness.Faultsweep.theorem_band ~graph:g ~self_loops in
-  Printf.printf "graph:        %s (n=%d, d=%d)\n"
-    (Harness.Experiment.graph_name graph_spec) n (Graphs.Graph.degree g);
-  Printf.printf "algorithm:    %s (d°=%d, d⁺=%d)\n" balancer.Core.Balancer.name
-    self_loops
-    (Graphs.Graph.degree g + self_loops);
-  Printf.printf "workload:     arrivals %s; lifetime %s; seed %d\n"
-    (Workload.Arrival.name arrival)
-    (Workload.Lifetime.name lifetime)
-    workload_seed;
-  Printf.printf "rounds run:   %d (warm-up %d)\n" r.Workload.Engine.rounds_run
-    r.Workload.Engine.warmup_end;
-  let sd = r.Workload.Engine.steady_discrepancy in
-  Printf.printf "steady disc:  mean %.1f, p95 %.1f, p99 %.1f (Thm 2.3 band %d)\n"
-    sd.Workload.Steady.mean sd.Workload.Steady.p95 sd.Workload.Steady.p99 band;
-  Printf.printf "backlog:      mean %.1f tokens in flight; overload p99 %.2f×mean\n"
-    r.Workload.Engine.steady_inflight.Workload.Steady.mean
-    r.Workload.Engine.steady_overload.Workload.Steady.p99;
-  Printf.printf "throughput:   %.1f tokens/round (arrivals %d, departures %d)\n"
-    r.Workload.Engine.throughput r.Workload.Engine.total_arrivals
-    r.Workload.Engine.total_departures;
-  if r.Workload.Engine.fault_injected <> 0 || r.Workload.Engine.fault_lost <> 0 then
-    Printf.printf "fault ledger: injected %d, lost %d\n"
-      r.Workload.Engine.fault_injected r.Workload.Engine.fault_lost;
-  Printf.printf "verdict:      %s, ledger %s\n"
-    (if r.Workload.Engine.diverged then "DIVERGED (backlog grows without settling)"
-     else "stable")
-    (if r.Workload.Engine.conserved then "conserved" else "UNBALANCED");
-  if series then begin
-    print_endline "round,discrepancy,inflight";
-    Array.iteri
-      (fun i (round, d) ->
-        Printf.printf "%d,%d,%d\n" round d (snd r.Workload.Engine.inflight_series.(i)))
-      r.Workload.Engine.discrepancy_series
-  end;
-  (match dump_loads with
-  | Some p -> dump_loads_to p r.Workload.Engine.final_loads
-  | None -> ());
-  if not r.Workload.Engine.conserved then
-    die_invariant
-      (Printf.sprintf
-         "workload ledger unbalanced: final %d, expected init %d + arrivals %d + \
-          injected %d − departures %d − lost %d"
-         (Array.fold_left ( + ) 0 r.Workload.Engine.final_loads)
-         (Array.fold_left ( + ) 0 init)
-         r.Workload.Engine.total_arrivals r.Workload.Engine.fault_injected
-         r.Workload.Engine.total_departures r.Workload.Engine.fault_lost)
+  match (report : Compile.report) with
+  | Compile.Rounds { result; time_to_target } ->
+    print_summary p ~target ~time_to_target result;
+    (match p.system with
+    | Compile.Closed_system { shards = Some _; _ } ->
+      let resumed_at =
+        match Lazy.force p.resume with
+        | Some r -> r.Shard.Checkpoint.snapshot.Shard.Checkpoint.step
+        | None -> 0
+      in
+      let steps_executed = result.Core.Engine.steps_run - resumed_at in
+      if elapsed > 0.0 && steps_executed > 0 then
+        Printf.printf "throughput:   %.0f steps/sec (%.2fs wall)\n"
+          (float_of_int steps_executed /. elapsed)
+          elapsed
+    | _ -> ());
+    dump result.Core.Engine.final_loads;
+    step_series result
+  | Compile.Faulted r ->
+    print_summary p ~target:None ~time_to_target:None r.Faults.Engine.result;
+    List.iter print_endline (Faults.Engine.report_lines r);
+    step_series r.Faults.Engine.result;
+    dump r.Faults.Engine.result.Core.Engine.final_loads;
+    if require_recovery && not (Faults.Engine.all_recovered r) then begin
+      prerr_endline "lb_sim: --require-recovery: some fault episodes did not recover";
+      exit 3
+    end
+  | Compile.Networked r ->
+    print_summary p ~target:None ~time_to_target:None r.Net.Async_engine.result;
+    List.iter print_endline (Net.Async_engine.report_lines r);
+    step_series r.Net.Async_engine.result;
+    dump r.Net.Async_engine.result.Core.Engine.final_loads;
+    if not r.Net.Async_engine.drained then
+      die_invariant
+        (Printf.sprintf "network failed to quiesce within %d drain rounds"
+           Net.Async_engine.default_config.Net.Async_engine.max_drain_rounds);
+    if not (Net.Async_engine.conserved r) then
+      die_invariant
+        (Printf.sprintf "net ledger unbalanced: total %d, expected %d"
+           r.Net.Async_engine.final_total
+           (r.Net.Async_engine.initial_total + r.Net.Async_engine.injected
+          - r.Net.Async_engine.lost))
+  | Compile.Opened r ->
+    print_graph_and_algo p;
+    print_workload p;
+    Printf.printf "rounds run:   %d (warm-up %d)\n" r.Workload.Engine.rounds_run
+      r.Workload.Engine.warmup_end;
+    let sd = r.Workload.Engine.steady_discrepancy in
+    Printf.printf "steady disc:  mean %.1f, p95 %.1f, p99 %.1f (Thm 2.3 band %d)\n"
+      sd.Workload.Steady.mean sd.Workload.Steady.p95 sd.Workload.Steady.p99
+      (Lazy.force p.band);
+    Printf.printf "backlog:      mean %.1f tokens in flight; overload p99 %.2f×mean\n"
+      r.Workload.Engine.steady_inflight.Workload.Steady.mean
+      r.Workload.Engine.steady_overload.Workload.Steady.p99;
+    Printf.printf "throughput:   %.1f tokens/round (arrivals %d, departures %d)\n"
+      r.Workload.Engine.throughput r.Workload.Engine.total_arrivals
+      r.Workload.Engine.total_departures;
+    if r.Workload.Engine.fault_injected <> 0 || r.Workload.Engine.fault_lost <> 0 then
+      Printf.printf "fault ledger: injected %d, lost %d\n"
+        r.Workload.Engine.fault_injected r.Workload.Engine.fault_lost;
+    Printf.printf "verdict:      %s, ledger %s\n"
+      (if r.Workload.Engine.diverged then "DIVERGED (backlog grows without settling)"
+       else "stable")
+      (if r.Workload.Engine.conserved then "conserved" else "UNBALANCED");
+    if series then begin
+      print_endline "round,discrepancy,inflight";
+      Array.iteri
+        (fun i (round, d) ->
+          Printf.printf "%d,%d,%d\n" round d (snd r.Workload.Engine.inflight_series.(i)))
+        r.Workload.Engine.discrepancy_series
+    end;
+    dump r.Workload.Engine.final_loads;
+    if not r.Workload.Engine.conserved then
+      die_invariant
+        (Printf.sprintf
+           "workload ledger unbalanced: final %d, expected init %d + arrivals %d + \
+            injected %d − departures %d − lost %d"
+           (Array.fold_left ( + ) 0 r.Workload.Engine.final_loads)
+           (Array.fold_left ( + ) 0 p.init)
+           r.Workload.Engine.total_arrivals r.Workload.Engine.fault_injected
+           r.Workload.Engine.total_departures r.Workload.Engine.fault_lost)
 
 (* Observability: enable probes/profiling before the run; the export
    itself is registered with at_exit. *)
@@ -559,14 +437,16 @@ let run graph algo self_loops init steps horizon target audit series seed shards
     dup reorder staleness retx_timeout retx_backoff net_seed no_degrade arrivals
     arrival_rate burst hotspot lifetime warmup workload_seed metrics metrics_out
     metrics_every profile dump_loads =
+  (* Spec parsing lives in Harness.Experiment so lb_cluster and lb_node
+     accept the same grammar; a bad init spec is reported first. *)
   match
-    try Ok (parse_graph graph, parse_init init) with Spec_error m -> Error m
+    (Harness.Experiment.graph_of_string graph, Harness.Experiment.init_of_string init)
   with
+  | _, Error msg | Error msg, _ -> die msg
+  | Ok graph_spec, Ok init_spec ->
+  match Harness.Experiment.algo_of_string algo with
   | Error msg -> die msg
-  | Ok (graph_spec, init_spec) ->
-  match parse_algo ~self_loops ~seed algo with
-  | Error msg -> die msg
-  | Ok algo_of_degree -> (
+  | Ok _ -> (
     match parse_horizon steps horizon with
     | Error msg -> die msg
     | Ok horizon_spec ->
@@ -667,12 +547,11 @@ let run graph algo self_loops init steps horizon target audit series seed shards
           | _ -> ());
           Some
             {
-              Net.Async_engine.channel;
+              Check.channel;
               protocol;
               staleness = Option.value ~default:0 staleness;
               degrade = not no_degrade;
-              seed = Option.value ~default:1 net_seed;
-              max_drain_rounds = 100_000;
+              net_seed = Option.value ~default:1 net_seed;
             }
         end
       in
@@ -719,92 +598,57 @@ let run graph algo self_loops init steps horizon target audit series seed shards
         die "--recovery-eps/--require-recovery need a fault plan \
              (--fault-plan, --crash-nodes or --edge-outage)";
       let sharded =
-        shard_count > 1 || checkpoint_path <> None || resume
-        || shards <> None || domains <> None
+        shards <> None || domains <> None || checkpoint_path <> None || resume
       in
       setup_obs ~metrics ~metrics_out ~metrics_every ~profile;
       try
-        let g = Harness.Experiment.build_graph graph_spec in
-        let degree = Graphs.Graph.degree g in
-        let algo_spec = algo_of_degree degree in
-        if workloaded then
-          run_workload ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~arrivals
-            ~arrival_rate ~burst ~hotspot ~lifetime ~warmup
-            ~workload_seed:(Option.value ~default:1 workload_seed)
-            ~rounds:(Option.value ~default:1000 steps)
-            ~graph_spec ~algo_spec ~init_spec ()
-        else
-        match net_cfg with
-        | Some net_cfg ->
-          run_net ~series ~dump_loads ~net_cfg ~fault_specs ~fault_seed ~graph_spec
-            ~algo_spec ~init_spec ~horizon_spec ()
-        | None ->
-        if faulted then
-          run_faulted ~series ~dump_loads
-            ~shards:(if sharded then Some shard_count else None)
-            ~strategy ~fault_specs ~fault_seed ~recovery_eps ~require_recovery
-            ~graph_spec ~algo_spec ~init_spec ~horizon_spec ()
-        else if sharded then
-          run_sharded ~audit ~target ~series ~dump_loads ~shards:shard_count ~strategy
-            ~checkpoint_path ~checkpoint_every ~resume ~graph_spec ~algo_spec
-            ~init_spec ~horizon_spec ()
-        else begin
-          let outcome =
-            Harness.Experiment.run ~audit ?target ~graph:graph_spec ~algo:algo_spec
-              ~init:init_spec ~horizon:horizon_spec ()
-          in
-          Printf.printf "graph:        %s (n=%d, d=%d)\n"
-            outcome.Harness.Experiment.graph_label outcome.Harness.Experiment.n
-            outcome.Harness.Experiment.degree;
-          Printf.printf "algorithm:    %s (d°=%d, d⁺=%d)\n"
-            outcome.Harness.Experiment.algo_label
-            outcome.Harness.Experiment.self_loops
-            (outcome.Harness.Experiment.degree + outcome.Harness.Experiment.self_loops);
-          Printf.printf "spectral gap: µ = %.6g\n" outcome.Harness.Experiment.gap;
-          Printf.printf "initial K:    %d\n"
-            outcome.Harness.Experiment.initial_discrepancy;
-          Printf.printf "steps run:    %d (horizon %d)\n"
-            outcome.Harness.Experiment.steps outcome.Harness.Experiment.horizon;
-          Printf.printf "final disc:   %d\n"
-            outcome.Harness.Experiment.final_discrepancy;
-          (match target with
-          | Some t ->
-            Printf.printf "time to ≤%d:  %s\n" t
-              (match outcome.Harness.Experiment.time_to_target with
-              | Some tt -> string_of_int tt
-              | None -> "not reached")
-          | None -> ());
-          if outcome.Harness.Experiment.min_load_seen < 0 then
-            Printf.printf "NEGATIVE LOAD observed (min %d)\n"
-              outcome.Harness.Experiment.min_load_seen;
-          (match outcome.Harness.Experiment.fairness with
-          | Some rep ->
-            Format.printf "fairness audit:@\n%a@." Core.Fairness.pp_report rep
-          | None -> ());
-          if series || dump_loads <> None then begin
-            (* Deterministic re-run with the same spec: a fine-grained
-               series for plotting, and the final vector for
-               --dump-loads (identical to the summarized run). *)
-            let n = Graphs.Graph.n g in
-            let init_loads = Harness.Experiment.build_init init_spec ~n in
-            let balancer =
-              Harness.Experiment.build_balancer algo_spec g ~init:init_loads
+        let run =
+          if workloaded then begin
+            let arrival = open_arrival ~arrival_rate ~arrivals ~hotspot ~burst in
+            let lifetime =
+              match lifetime with Some s -> parse_lifetime s | None -> Check.Immortal
             in
-            let r =
-              Core.Engine.run
-                ~sample_every:(max 1 (outcome.Harness.Experiment.horizon / 50))
-                ~graph:g ~balancer ~init:init_loads
-                ~steps:outcome.Harness.Experiment.horizon ()
-            in
-            (match dump_loads with
-            | Some p -> dump_loads_to p r.Core.Engine.final_loads
-            | None -> ());
-            if series then begin
-              print_endline "step,discrepancy";
-              Array.iter (fun (t, d) -> Printf.printf "%d,%d\n" t d) r.Core.Engine.series
-            end
+            Check.Open
+              {
+                rounds = Option.value ~default:1000 steps;
+                arrival;
+                lifetime;
+                warmup =
+                  (match warmup with Some w -> Check.Fixed_warmup w | None -> Check.Auto);
+                workload_seed = Option.value ~default:1 workload_seed;
+                faults = fault_specs;
+                net = net_cfg;
+              }
           end
-        end
+          else
+            Check.Closed
+              {
+                horizon = horizon_spec;
+                faults = fault_specs;
+                net = net_cfg;
+                shards =
+                  (if sharded then Some { Check.count = shard_count; partition = strategy }
+                   else None);
+                checkpoint =
+                  Option.map
+                    (fun path -> { Check.path; every = checkpoint_every; resume })
+                    checkpoint_path;
+                audit;
+                target;
+                recovery_eps;
+              }
+        in
+        let p =
+          Compile.prepare
+            { Check.graph = graph_spec; init = init_spec; algo_name = algo; self_loops;
+              algo_seed = Some seed; fault_seed; run }
+        in
+        print_preamble p;
+        if resume && checkpoint_path = None then die "--resume requires --checkpoint PATH";
+        let t0 = Unix.gettimeofday () in
+        let report = Compile.execute p in
+        print_report p ~target ~series ~dump_loads ~require_recovery
+          ~elapsed:(Unix.gettimeofday () -. t0) report
       with
       | Spec_error msg | Invalid_argument msg -> die msg
       | Shard.Checkpoint.Checkpoint_error err ->

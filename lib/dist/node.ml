@@ -691,7 +691,6 @@ let run cfg =
   in
   if cfg.graceful_term then
     Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> t.term <- true));
-  hello t;
   (* One connected session.  Raises Reconnect when the coordinator link
      fails; returns the exit code once t.stop is set. *)
   let rec session () =
@@ -736,8 +735,15 @@ let run cfg =
         session ()
       end
   in
+  (* Every connection, the first included, opens with a hello that
+     reports the on-disk checkpoints, so the coordinator (same
+     incarnation or a WAL-restarted one) re-elects our source; a link
+     lost during the hello spends the reconnect budget like any other. *)
   let rec lifecycle () =
-    match session () with
+    match
+      hello t;
+      session ()
+    with
     | code -> code
     | exception Reconnect reason ->
       Obs.Metrics.inc t.m_reconnects 1;
@@ -753,14 +759,7 @@ let run cfg =
                (3, "coordinator link lost and the reconnect budget is spent"));
         t.reconnects_left <- t.reconnects_left - 1;
         match connect t.cfg with
-        | conn -> (
-          t.conn <- conn;
-          (* Re-report the on-disk checkpoints: the coordinator (same
-             incarnation or a WAL-restarted one) re-elects our source. *)
-          try hello t
-          with Reconnect _ ->
-            Transport.close t.conn;
-            re ())
+        | conn -> t.conn <- conn
         | exception Reconnect _ -> re ()
       in
       re ();

@@ -65,7 +65,7 @@ let build (spec : spec) =
 (* The closed-system discrepancy band the chaos run must re-enter:
    the paper's deterministic-scheme bound for this graph and d°. *)
 let theorem_band built =
-  Harness.Faultsweep.theorem_band ~graph:built.graph ~self_loops:built.self_loops
+  Harness.Experiment.theorem_band ~graph:built.graph ~self_loops:built.self_loops
 
 let parse_band built = function
   | "auto" -> Ok (Some (theorem_band built))

@@ -27,7 +27,7 @@ val build : spec -> (built, string) result
     needs checkpoint/rollback capability). *)
 
 val theorem_band : built -> int
-(** The closed-system discrepancy band ({!Harness.Faultsweep.theorem_band}). *)
+(** The closed-system discrepancy band ({!Harness.Experiment.theorem_band}). *)
 
 val parse_band : built -> string -> (int option, string) result
 (** ["auto"] = {!theorem_band}, ["none"] = no check, else an integer. *)

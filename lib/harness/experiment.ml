@@ -70,11 +70,6 @@ type init_spec =
   | Bimodal of { high : int; low : int }
   | Uniform_random of { total : int; seed : int }
 
-let init_name = function
-  | Point_mass total -> Printf.sprintf "point-mass(%d)" total
-  | Bimodal { high; low } -> Printf.sprintf "bimodal(%d/%d)" high low
-  | Uniform_random { total; seed } -> Printf.sprintf "uniform-random(%d,seed=%d)" total seed
-
 let build_init spec ~n =
   match spec with
   | Point_mass total -> Core.Loads.point_mass ~n ~total
@@ -229,12 +224,28 @@ let spec_gap spec ~graph ~self_loops =
       ~self_loops
   | Random_regular _ -> spectral_gap ~graph ~self_loops
 
+let theorem_band ~graph ~self_loops =
+  let n = Graphs.Graph.n graph in
+  let d = Graphs.Graph.degree graph in
+  let mu = spectral_gap ~graph ~self_loops in
+  let via_n = sqrt (float_of_int n) in
+  (* A degenerate spectral gap (µ ≤ 0, or NaN from numerical noise on
+     tiny graphs) would turn the √(log n/µ) branch into ∞ or NaN; the
+     theorem's min then falls back to the unconditional √n branch. *)
+  let via_gap =
+    if Float.is_finite mu && mu > 0.0 then sqrt (log (float_of_int n) /. mu)
+    else infinity
+  in
+  let band = float_of_int d *. Float.min via_gap via_n in
+  if not (Float.is_finite band) then max 1 d
+  else max 1 (int_of_float (ceil band))
+
 let horizon_steps ~gap ~graph ~self_loops ~init = function
   | Fixed_steps s ->
     if s < 1 then invalid_arg "Experiment.horizon_steps: need >= 1 step";
     s
   | Mixing_multiple c ->
-    Graphs.Spectral.horizon ~gap ~n:(Graphs.Graph.n graph)
+    Graphs.Spectral.horizon ~gap:(Lazy.force gap) ~n:(Graphs.Graph.n graph)
       ~initial_discrepancy:(Core.Loads.discrepancy init) ~c
   | Continuous_multiple c ->
     let finit = Array.map float_of_int init in
@@ -243,56 +254,3 @@ let horizon_steps ~gap ~graph ~self_loops ~init = function
      with
      | Some t -> max 1 (int_of_float (ceil (c *. float_of_int (max t 1))))
      | None -> invalid_arg "Experiment.horizon_steps: continuous process did not converge")
-
-type outcome = {
-  graph_label : string;
-  algo_label : string;
-  n : int;
-  degree : int;
-  self_loops : int;
-  gap : float;
-  steps : int;
-  horizon : int;
-  initial_discrepancy : int;
-  final_discrepancy : int;
-  time_to_target : int option;
-  min_load_seen : int;
-  fairness : Core.Fairness.report option;
-}
-
-let run ?(audit = false) ?target ~graph:spec ~algo ~init ~horizon () =
-  let graph = build_graph spec in
-  let init = build_init init ~n:(Graphs.Graph.n graph) in
-  let balancer = build_balancer algo graph ~init in
-  let self_loops = balancer.Core.Balancer.self_loops in
-  let gap = spec_gap spec ~graph ~self_loops in
-  let steps = horizon_steps ~gap ~graph ~self_loops ~init horizon in
-  let first_hit = ref None in
-  let hook =
-    Option.map
-      (fun tgt t loads ->
-        if !first_hit = None && Core.Loads.discrepancy loads <= tgt then
-          first_hit := Some t)
-      target
-  in
-  let result =
-    Core.Engine.run ~audit ~sample_every:(max 1 (steps / 64)) ?hook ~graph ~balancer
-      ~init ~steps ()
-  in
-  {
-    graph_label = graph_name spec;
-    algo_label = balancer.Core.Balancer.name;
-    n = Graphs.Graph.n graph;
-    degree = Graphs.Graph.degree graph;
-    self_loops;
-    gap;
-    steps = result.Core.Engine.steps_run;
-    horizon = steps;
-    initial_discrepancy = Core.Loads.discrepancy init;
-    final_discrepancy = Core.Loads.discrepancy result.Core.Engine.final_loads;
-    time_to_target =
-      Option.bind target (fun tgt ->
-          if Core.Loads.discrepancy init <= tgt then Some 0 else !first_hit);
-    min_load_seen = result.Core.Engine.min_load_seen;
-    fairness = result.Core.Engine.fairness;
-  }

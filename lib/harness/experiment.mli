@@ -1,7 +1,8 @@
 (** Experiment registry: declarative specifications of graphs,
-    algorithms, initial distributions and horizons, with one-call
-    execution.  Both the CLI and the benchmark harness drive the system
-    through this module, so every reported number is reproducible from a
+    algorithms, initial distributions and horizons, with their builders,
+    the spectral gap and the Theorem 2.3 band.  The front ends name
+    their runs with these specs and {!Scenario.Compile} lowers them onto
+    the engines, so every reported number is reproducible from a
     printable spec. *)
 
 type graph_spec =
@@ -39,7 +40,6 @@ type init_spec =
   | Bimodal of { high : int; low : int }
   | Uniform_random of { total : int; seed : int }
 
-val init_name : init_spec -> string
 val build_init : init_spec -> n:int -> int array
 
 (** {2 Spec parsing}
@@ -71,7 +71,7 @@ type horizon =
           reaches discrepancy < 1 from the same start *)
 
 val horizon_steps :
-  gap:float ->
+  gap:float Lazy.t ->
   graph:Graphs.Graph.t ->
   self_loops:int ->
   init:int array ->
@@ -79,7 +79,8 @@ val horizon_steps :
   int
 (** Resolve a horizon to a concrete step count (≥ 1).  A
     [Mixing_multiple] horizon is priced with [gap], the µ of the
-    balancing graph (from {!spec_gap} or {!spectral_gap}). *)
+    balancing graph (from {!spec_gap} or {!spectral_gap}); the other
+    horizons never force it. *)
 
 val spectral_gap : graph:Graphs.Graph.t -> self_loops:int -> float
 (** µ of the balancing graph by power iteration, memoized per
@@ -92,33 +93,8 @@ val spec_gap : graph_spec -> graph:Graphs.Graph.t -> self_loops:int -> float
     most O(n·d) where power iteration costs up to 50 000 sparse
     products. *)
 
-type outcome = {
-  graph_label : string;
-  algo_label : string;
-  n : int;
-  degree : int;
-  self_loops : int;
-  gap : float;
-  steps : int;                 (** steps actually executed *)
-  horizon : int;               (** steps requested *)
-  initial_discrepancy : int;
-  final_discrepancy : int;
-  time_to_target : int option; (** if [target] was given *)
-  min_load_seen : int;
-  fairness : Core.Fairness.report option;
-}
-
-val run :
-  ?audit:bool ->
-  ?target:int ->
-  graph:graph_spec ->
-  algo:algo_spec ->
-  init:init_spec ->
-  horizon:horizon ->
-  unit ->
-  outcome
-(** Build everything from specs and execute one simulation.  [target]
-    both records the first hitting time of that discrepancy and, when
-    given, lets the run continue to the full horizon (no early stop) so
-    the final discrepancy is still meaningful.  The outcome's [gap] is
-    {!spec_gap}, which also prices a [Mixing_multiple] horizon. *)
+val theorem_band : graph:Graphs.Graph.t -> self_loops:int -> int
+(** ⌈d·min{√(log n/µ), √n}⌉, the Theorem 2.3 discrepancy bound, with µ
+    from {!spectral_gap}.  Degenerate spectral gaps (µ ≤ 0 or
+    non-finite) fall back to the unconditional √n branch instead of
+    dividing by zero. *)

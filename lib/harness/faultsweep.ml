@@ -11,22 +11,6 @@ type point = {
   conserved : bool;
 }
 
-let theorem_band ~graph ~self_loops =
-  let n = Graphs.Graph.n graph in
-  let d = Graphs.Graph.degree graph in
-  let mu = Experiment.spectral_gap ~graph ~self_loops in
-  let via_n = sqrt (float_of_int n) in
-  (* A degenerate spectral gap (µ ≤ 0, or NaN from numerical noise on
-     tiny graphs) would turn the √(log n/µ) branch into ∞ or NaN; the
-     theorem's min then falls back to the unconditional √n branch. *)
-  let via_gap =
-    if Float.is_finite mu && mu > 0.0 then sqrt (log (float_of_int n) /. mu)
-    else infinity
-  in
-  let band = float_of_int d *. Float.min via_gap via_n in
-  if not (Float.is_finite band) then max 1 d
-  else max 1 (int_of_float (ceil band))
-
 type algo = {
   label : string;
   self_loops : int -> int;
@@ -79,7 +63,7 @@ let run_point ?mode ~graph_label ~graph ~algo ~scenario_label ~spec ~steps () =
     | Error m -> invalid_arg ("Faultsweep: " ^ m)
   in
   let plan = Faults.Schedule.realize ~seed:1 ~graph specs in
-  let eps = theorem_band ~graph ~self_loops:(algo.self_loops (Graphs.Graph.degree graph)) in
+  let eps = Experiment.theorem_band ~graph ~self_loops:(algo.self_loops (Graphs.Graph.degree graph)) in
   let report =
     Faults.Engine.run ?mode ~eps ~sample_every:steps ~graph
       ~make_balancer:(algo.make graph) ~plan ~init ~steps ()

@@ -21,11 +21,6 @@ type point = {
   conserved : bool;  (** final total matched the fault ledger *)
 }
 
-val theorem_band : graph:Graphs.Graph.t -> self_loops:int -> int
-(** ⌈d·min{√(log n/µ), √n}⌉, the Theorem 2.3 discrepancy bound.
-    Degenerate spectral gaps (µ ≤ 0 or non-finite) fall back to the
-    unconditional √n branch instead of dividing by zero. *)
-
 val sweep : ?mode:Faults.Engine.mode -> quick:bool -> unit -> point list
 (** Crash (wipe+lose), crash (keep+spill), load-shock and edge-outage
     scenarios across cycle/torus/hypercube for the stateful

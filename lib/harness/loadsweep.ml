@@ -53,7 +53,7 @@ let run_point ~graph_label ~graph ~algo ~ratio ~rounds ~seed =
       ~init:(Core.Loads.flat ~n ~value:0) ()
   in
   let band =
-    Faultsweep.theorem_band ~graph
+    Experiment.theorem_band ~graph
       ~self_loops:(algo.self_loops (Graphs.Graph.degree graph))
   in
   {

@@ -19,7 +19,7 @@ let run_point ~graph_label ~graph ~algo_label ~make_balancer ~self_loops ~drop
     ~delay ~backoff ~staleness ~steps ~seed =
   let n = Graphs.Graph.n graph in
   let init = Core.Loads.point_mass ~n ~total:(16 * n) in
-  let band = Faultsweep.theorem_band ~graph ~self_loops in
+  let band = Experiment.theorem_band ~graph ~self_loops in
   let config =
     {
       Net.Async_engine.channel = { Net.Channel.reliable with drop; delay };

@@ -20,6 +20,7 @@ type warmup = Auto | Fixed_warmup of int
 
 type net = {
   channel : Net.Channel.config;
+  protocol : Net.Protocol.config;
   staleness : int;
   degrade : bool;
   net_seed : int;
@@ -34,8 +35,27 @@ type cluster = {
   partitions : Dist.Loss.window list;
 }
 
+type shards = { count : int; partition : Shard.Partition.strategy }
+
+type checkpoint = { path : string; every : int; resume : bool }
+
+type closed = {
+  horizon : Harness.Experiment.horizon;
+  faults : Faults.Schedule.spec list;
+  net : net option;
+  shards : shards option;
+  checkpoint : checkpoint option;
+  audit : bool;
+  target : int option;
+  recovery_eps : int option;
+}
+
+let closed horizon =
+  { horizon; faults = []; net = None; shards = None; checkpoint = None;
+    audit = false; target = None; recovery_eps = None }
+
 type run =
-  | Closed of { steps : int; faults : Faults.Schedule.spec list; net : net option }
+  | Closed of closed
   | Open of {
       rounds : int;
       arrival : arrival;
@@ -271,6 +291,7 @@ let check_net pos (a : Ast.net) =
       delay = (match a.delay with None -> 0 | Some s -> int_min "net delay" 0 s) }
   in
   { channel;
+    protocol = Net.Protocol.default_config;
     staleness = (match a.staleness with None -> 0 | Some s -> int_min "staleness" 0 s);
     degrade = (match a.degrade with None | Some On -> true | Some Off -> false);
     net_seed = (match a.net_seed with None -> 1 | Some s -> as_int "net seed" s) }
@@ -466,7 +487,7 @@ let scenario ~at (sc : Ast.scenario) =
           if algo_name = "mimic" && (faults <> [] || net <> None) then
             fail bal_slot.pos
               "the mimic balancer is closed-system and fault-free only";
-          Closed { steps; faults; net }
+          Closed { (closed (Harness.Experiment.Fixed_steps steps)) with faults; net }
         | _ ->
           let rounds =
             match rounds_c with

@@ -42,6 +42,9 @@ type warmup = Auto | Fixed_warmup of int
 
 type net = {
   channel : Net.Channel.config;
+  protocol : Net.Protocol.config;
+      (** the ARQ's retransmission schedule; a [net] clause checks to
+          {!Net.Protocol.default_config} *)
   staleness : int;
   degrade : bool;
   net_seed : int;
@@ -56,8 +59,38 @@ type cluster = {
   partitions : Dist.Loss.window list;
 }
 
+type shards = { count : int; partition : Shard.Partition.strategy }
+
+type checkpoint = {
+  path : string;
+  every : int;  (** snapshot after every [every]-th step *)
+  resume : bool;  (** start from the newest usable snapshot at [path] *)
+}
+
+type closed = {
+  horizon : Harness.Experiment.horizon;
+  faults : Faults.Schedule.spec list;
+  net : net option;
+  shards : shards option;
+      (** [Some] runs the domain-parallel engines (one domain per
+          shard); [None] the sequential ones *)
+  checkpoint : checkpoint option;
+      (** runs on the sharded engine, one contiguous shard if [shards]
+          is [None] *)
+  audit : bool;  (** the Definition 2.1/3.1 fairness audit *)
+  target : int option;  (** record the first step with discrepancy ≤ target *)
+  recovery_eps : int option;
+      (** fault-episode recovery tolerance (default: the degree d) *)
+}
+
+val closed : Harness.Experiment.horizon -> closed
+(** A closed run over [horizon] with every layer off: no faults, no
+    net, the sequential engine, no checkpoint, audit, target or
+    recovery tolerance.  A [steps] clause checks to [closed (Fixed_steps
+    s)] plus its [faults] and [net]. *)
+
 type run =
-  | Closed of { steps : int; faults : Faults.Schedule.spec list; net : net option }
+  | Closed of closed
   | Open of {
       rounds : int;
       arrival : arrival;

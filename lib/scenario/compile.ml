@@ -240,15 +240,12 @@ let spec_of_init = function
     Printf.sprintf "random:%d,%d" total seed
 
 let kind (t : Check.typed) =
+  let layered base faults net =
+    base ^ (if faults <> [] then "+faults" else "") ^ if net <> None then "+net" else ""
+  in
   match t.run with
-  | Check.Closed { faults; net; _ } ->
-    "closed"
-    ^ (if faults <> [] then "+faults" else "")
-    ^ (if net <> None then "+net" else "")
-  | Check.Open { faults; net; _ } ->
-    "open"
-    ^ (if faults <> [] then "+faults" else "")
-    ^ (if net <> None then "+net" else "")
+  | Check.Closed { faults; net; _ } -> layered "closed" faults net
+  | Check.Open { faults; net; _ } -> layered "open" faults net
   | Check.Cluster _ -> "cluster"
 
 let build_balancer_fn (t : Check.typed) graph init =
@@ -266,6 +263,7 @@ let build_balancer_fn (t : Check.typed) graph init =
 let async_config (net : Check.net) =
   { Net.Async_engine.default_config with
     channel = net.channel;
+    protocol = net.protocol;
     staleness = net.staleness;
     degrade = net.degrade;
     seed = net.net_seed }
@@ -289,6 +287,152 @@ let build_lifetime ~rng = function
   | Check.Geometric m -> Workload.Lifetime.geometric ~rng ~mean:m
   | Check.Fixed r -> Workload.Lifetime.fixed ~rng ~rounds:r
 
+type system =
+  | Closed_system of Check.closed
+  | Open_system of {
+      arrival : Workload.Arrival.t;
+      lifetime : Workload.Lifetime.t;
+      config : Workload.Engine.config;
+      faults : Faults.Schedule.spec list;
+      net : Check.net option;
+    }
+
+type prepared = {
+  typed : Check.typed;
+  graph : Graphs.Graph.t;
+  init : int array;
+  balancer : Core.Balancer.t;
+  make_balancer : unit -> Core.Balancer.t;
+  steps : int;
+  gap : float Lazy.t;
+  band : int Lazy.t;
+  plan : Faults.Schedule.plan Lazy.t;
+  resume : Shard.Checkpoint.recovery option Lazy.t;
+  system : system;
+}
+
+let prepare (t : Check.typed) =
+  let graph = Harness.Experiment.build_graph t.graph in
+  let init = Harness.Experiment.build_init t.init ~n:(Graphs.Graph.n graph) in
+  let make_balancer = build_balancer_fn t graph init in
+  let balancer = make_balancer () in
+  let self_loops = balancer.Core.Balancer.self_loops in
+  let gap = lazy (Harness.Experiment.spec_gap t.graph ~graph ~self_loops) in
+  let realize faults =
+    lazy (Faults.Schedule.realize ~seed:t.fault_seed ~graph faults)
+  in
+  let steps, plan, resume, system =
+    match t.run with
+    | Check.Closed c ->
+      ( Harness.Experiment.horizon_steps ~gap ~graph ~self_loops ~init c.horizon,
+        realize c.faults,
+        lazy
+          (match c.checkpoint with
+          | Some { resume = true; path; _ } -> Some (Shard.Checkpoint.recover ~path ())
+          | Some { resume = false; _ } | None -> None),
+        Closed_system c )
+    | Check.Open { rounds; arrival; lifetime; warmup; workload_seed; faults; net } ->
+      (* lb_sim's PRNG convention: one master stream, arrival then
+         lifetime split off in that order *)
+      let master = Prng.Splitmix.create workload_seed in
+      let arrival_rng = Prng.Splitmix.split master in
+      let lifetime_rng = Prng.Splitmix.split master in
+      let arrival = build_arrival ~rng:arrival_rng arrival in
+      let lifetime = build_lifetime ~rng:lifetime_rng lifetime in
+      let warmup =
+        match warmup with
+        | Check.Auto -> Workload.Engine.Auto
+        | Check.Fixed_warmup w -> Workload.Engine.Fixed_warmup w
+      in
+      let config = Workload.Engine.config ~warmup ~arrival ~lifetime ~rounds () in
+      ( rounds,
+        realize faults,
+        lazy None,
+        Open_system { arrival; lifetime; config; faults; net } )
+    | Check.Cluster _ ->
+      invalid_arg
+        "dist scenarios are compile-only in-process: use 'lb_scn compile' and run \
+         the printed lb_cluster command"
+  in
+  { typed = t; graph; init; balancer; make_balancer; steps; gap;
+    band = lazy (Harness.Experiment.theorem_band ~graph ~self_loops);
+    plan; resume; system }
+
+type report =
+  | Rounds of { result : Core.Engine.result; time_to_target : int option }
+  | Faulted of Faults.Engine.report
+  | Networked of Net.Async_engine.report
+  | Opened of Workload.Engine.result
+
+(* The discrepancy series' cadences are lb_sim's: every 50th step of the
+   core engine, every 64th of the sharded and fault engines, every step
+   of the network. *)
+let execute p =
+  let { graph; init; steps; balancer; make_balancer; _ } = p in
+  let plan = Lazy.force p.plan in
+  match p.system with
+  | Open_system { config; faults; net; _ } ->
+    let mode =
+      match (net, faults) with
+      | Some net, _ -> Harness.Openrun.Lossy { config = async_config net; plan }
+      | None, _ :: _ -> Harness.Openrun.Faulty { plan }
+      | None, [] -> Harness.Openrun.Plain
+    in
+    Opened (Harness.Openrun.run ~mode ~config ~graph ~balancer ~init ())
+  | Closed_system { net = Some net; _ } ->
+    Networked
+      (Net.Async_engine.run ~config:(async_config net) ~plan ~graph ~balancer ~init
+         ~steps ())
+  | Closed_system ({ faults = _ :: _; _ } as c) ->
+    let mode =
+      match c.shards with
+      | None -> Faults.Engine.Sequential
+      | Some { count; partition } ->
+        Faults.Engine.Sharded { shards = count; strategy = partition }
+    in
+    Faulted
+      (Faults.Engine.run ~mode ?eps:c.recovery_eps
+         ~sample_every:(max 1 (steps / 64))
+         ~graph ~make_balancer ~plan ~init ~steps ())
+  | Closed_system ({ faults = []; _ } as c) ->
+    let first_hit = ref None in
+    let hook =
+      Option.map
+        (fun tgt t loads ->
+          if !first_hit = None && Core.Loads.discrepancy loads <= tgt then
+            first_hit := Some t)
+        c.target
+    in
+    let result =
+      match (c.shards, c.checkpoint) with
+      | None, None ->
+        Core.Engine.run ~audit:c.audit ~sample_every:(max 1 (steps / 50)) ?hook ~graph
+          ~balancer ~init ~steps ()
+      | shards, checkpoint ->
+        let { Check.count; partition } =
+          Option.value shards
+            ~default:{ Check.count = 1; partition = Shard.Partition.Contiguous }
+        in
+        Shard.Shard_engine.run ~audit:c.audit
+          ~sample_every:(max 1 (steps / 64))
+          ?hook ~strategy:partition
+          ?checkpoint:
+            (Option.map
+               (fun (k : Check.checkpoint) ->
+                 { Shard.Shard_engine.path = k.path; every = k.every })
+               checkpoint)
+          ?resume:
+            (Option.map
+               (fun r -> r.Shard.Checkpoint.snapshot)
+               (Lazy.force p.resume))
+          ~shards:count ~graph ~make_balancer ~init ~steps ()
+    in
+    let time_to_target =
+      Option.bind c.target (fun tgt ->
+          if Core.Loads.discrepancy init <= tgt then Some 0 else !first_hit)
+    in
+    Rounds { result; time_to_target }
+
 type outcome = {
   kind : string;
   rounds : int;
@@ -302,10 +446,22 @@ type outcome = {
   drained : bool;
 }
 
-let outcome_of ~kind ~rounds ~init ~final ~injected ~removed ~drained =
-  let initial_total = Core.Loads.total init in
+let outcome p report =
+  let closed (r : Core.Engine.result) = (r.steps_run, r.final_loads) in
+  let (rounds, final), injected, removed, drained =
+    match report with
+    | Rounds { result; _ } -> (closed result, 0, 0, true)
+    | Faulted r -> (closed r.result, r.injected, r.lost, true)
+    | Networked r -> (closed r.result, r.injected, r.lost, r.drained)
+    | Opened r ->
+      ( (r.rounds_run, r.final_loads),
+        r.total_arrivals + r.fault_injected,
+        r.total_departures + r.fault_lost,
+        r.conserved )
+  in
+  let initial_total = Core.Loads.total p.init in
   let final_total = Core.Loads.total final in
-  { kind;
+  { kind = kind p.typed;
     rounds;
     final_loads = final;
     discrepancy = Core.Loads.discrepancy final;
@@ -316,91 +472,12 @@ let outcome_of ~kind ~rounds ~init ~final ~injected ~removed ~drained =
     conserved = final_total = initial_total + injected - removed;
     drained }
 
-let execute_exn (t : Check.typed) =
-  let k = kind t in
-  match t.run with
-  | Check.Cluster _ ->
-    Error
-      "dist scenarios are compile-only in-process: use 'lb_scn compile' and run the \
-       printed lb_cluster command"
-  | Check.Closed { steps; faults; net } -> (
-    let graph = Harness.Experiment.build_graph t.graph in
-    let n = Graphs.Graph.n graph in
-    let init = Harness.Experiment.build_init t.init ~n in
-    let make_balancer = build_balancer_fn t graph init in
-    let plan =
-      match faults with
-      | [] -> []
-      | specs -> Faults.Schedule.realize ~seed:t.fault_seed ~graph specs
-    in
-    match net with
-    | Some net_cfg ->
-      let report =
-        Net.Async_engine.run ~config:(async_config net_cfg) ~plan ~graph
-          ~balancer:(make_balancer ()) ~init ~steps ()
-      in
-      Ok
-        (outcome_of ~kind:k ~rounds:report.Net.Async_engine.result.Core.Engine.steps_run
-           ~init ~final:report.Net.Async_engine.result.Core.Engine.final_loads
-           ~injected:report.Net.Async_engine.injected
-           ~removed:report.Net.Async_engine.lost ~drained:report.Net.Async_engine.drained)
-    | None ->
-      if plan = [] then
-        let r = Core.Engine.run ~graph ~balancer:(make_balancer ()) ~init ~steps () in
-        Ok
-          (outcome_of ~kind:k ~rounds:r.Core.Engine.steps_run ~init
-             ~final:r.Core.Engine.final_loads ~injected:0 ~removed:0 ~drained:true)
-      else
-        let report = Faults.Engine.run ~graph ~make_balancer ~plan ~init ~steps () in
-        Ok
-          (outcome_of ~kind:k
-             ~rounds:report.Faults.Engine.result.Core.Engine.steps_run ~init
-             ~final:report.Faults.Engine.result.Core.Engine.final_loads
-             ~injected:report.Faults.Engine.injected ~removed:report.Faults.Engine.lost
-             ~drained:true))
-  | Check.Open { rounds; arrival; lifetime; warmup; workload_seed; faults; net } ->
-    let graph = Harness.Experiment.build_graph t.graph in
-    let n = Graphs.Graph.n graph in
-    let init = Harness.Experiment.build_init t.init ~n in
-    let make_balancer = build_balancer_fn t graph init in
-    (* lb_sim's PRNG convention: one master stream, arrival then
-       lifetime split off in that order *)
-    let master = Prng.Splitmix.create workload_seed in
-    let arrival_rng = Prng.Splitmix.split master in
-    let lifetime_rng = Prng.Splitmix.split master in
-    let arrival = build_arrival ~rng:arrival_rng arrival in
-    let lifetime = build_lifetime ~rng:lifetime_rng lifetime in
-    let wl_warmup =
-      match warmup with
-      | Check.Auto -> Workload.Engine.Auto
-      | Check.Fixed_warmup w -> Workload.Engine.Fixed_warmup w
-    in
-    let config = Workload.Engine.config ~warmup:wl_warmup ~arrival ~lifetime ~rounds () in
-    let plan =
-      match faults with
-      | [] -> []
-      | specs -> Faults.Schedule.realize ~seed:t.fault_seed ~graph specs
-    in
-    let mode =
-      match net with
-      | Some net_cfg ->
-        Harness.Openrun.Lossy { config = async_config net_cfg; plan }
-      | None -> (
-        match plan with
-        | [] -> Harness.Openrun.Plain
-        | _ -> Harness.Openrun.Faulty { plan })
-    in
-    let r = Harness.Openrun.run ~mode ~config ~graph ~balancer:(make_balancer ()) ~init () in
-    Ok
-      (outcome_of ~kind:k ~rounds:r.Workload.Engine.rounds_run ~init
-         ~final:r.Workload.Engine.final_loads
-         ~injected:(r.Workload.Engine.total_arrivals + r.Workload.Engine.fault_injected)
-         ~removed:(r.Workload.Engine.total_departures + r.Workload.Engine.fault_lost)
-         ~drained:r.Workload.Engine.conserved)
-
 (* A constructor precondition the checker missed must surface as a
    compile error, not a crash — the fuzzer counts on it. *)
-let execute t = try execute_exn t with Invalid_argument m -> Error m
+let run t =
+  match prepare t with
+  | p -> ( try Ok (outcome p (execute p)) with Invalid_argument m -> Error m)
+  | exception Invalid_argument m -> Error m
 
 let cluster_command (t : Check.typed) =
   match t.run with
@@ -434,14 +511,20 @@ let describe it =
       match cluster_command t with
       | Some cmd -> [ head; "  target: multi-process cluster"; "  " ^ cmd ]
       | None -> [ head ])
-    | Check.Closed { steps; faults; net } ->
+    | Check.Closed { horizon; faults; net; shards; _ } ->
       [ head;
-        Printf.sprintf "  target: %s  steps=%d faults=%d%s"
-          (match (net, faults) with
-          | Some _, _ -> "Net.Async_engine.run"
-          | None, [] -> "Core.Engine.run"
-          | None, _ -> "Faults.Engine.run")
-          steps (List.length faults)
+        Printf.sprintf "  target: %s  %s faults=%d%s"
+          (match (net, faults, shards) with
+          | Some _, _, _ -> "Net.Async_engine.run"
+          | None, [], None -> "Core.Engine.run"
+          | None, [], Some _ -> "Shard.Shard_engine.run"
+          | None, _, _ -> "Faults.Engine.run")
+          (match horizon with
+          | Harness.Experiment.Fixed_steps s -> Printf.sprintf "steps=%d" s
+          | Harness.Experiment.Mixing_multiple c -> Printf.sprintf "horizon=mixing:%g" c
+          | Harness.Experiment.Continuous_multiple c ->
+            Printf.sprintf "horizon=continuous:%g" c)
+          (List.length faults)
           (match net with
           | Some nc ->
             Printf.sprintf " channel=%s staleness=%d"

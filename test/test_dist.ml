@@ -1187,6 +1187,62 @@ let test_e2e_misreport_persistent_fails () =
   (* the same round poisons twice: the fault is durable, exit 4 *)
   check_int "exit code" 4 code
 
+(* A coordinator stub that accepts each connection and resets it at
+   once, until it has been idle for half a second; its exit status is
+   the number of connections it took.  The node's first hello, sent
+   right after connecting, hits the reset link: the node builds its
+   n-word vectors between connect and hello, which gives the stub's
+   reset time to land first, and a hello that still gets through meets
+   the reset on its first read.  Either way the link loss must go
+   through the reconnect budget: budget 0 exits 3 after one
+   connection, budget 1 reconnects once and then exits 3. *)
+let test_node_first_hello_reconnects () =
+  Dist.Launch.ignore_sigpipe ();
+  let n = 1 lsl 18 in
+  let graph = Graphs.Gen.cycle n in
+  let run_against_stub ~reconnects =
+    let listen_fd, port = Dist.Transport.listen_loopback () in
+    match Unix.fork () with
+    | 0 ->
+      let rec serve taken =
+        match Unix.select [ listen_fd ] [] [] 0.5 with
+        | [], _, _ -> taken
+        | _ ->
+          let fd, _ = Unix.accept listen_fd in
+          Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+          Unix.close fd;
+          serve (taken + 1)
+      in
+      Unix._exit (serve 0)
+    | pid ->
+      Unix.close listen_fd;
+      let dir = mkdtemp () in
+      let cfg =
+        { Dist.Node.shard = 0; shards = 2; port; graph;
+          init = Core.Loads.point_mass ~n ~total:64;
+          make_balancer = (fun () -> Core.Rotor_router.make graph ~self_loops:2);
+          rounds = 4; ckpt_dir = dir; loss = Dist.Loss.none;
+          protocol = Net.Protocol.default_config; tick = 0.001;
+          hb_interval = 0.02; metrics_port = None; reconnects;
+          graceful_term = false; injection = Dist.Node.No_injection;
+          verbose = false }
+      in
+      let code = Dist.Node.main cfg in
+      let taken =
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED k -> k
+        | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+      in
+      rmdir_r dir;
+      (code, taken)
+  in
+  let code, taken = run_against_stub ~reconnects:0 in
+  check_int "budget 0: exit code" 3 code;
+  check_int "budget 0: connections" 1 taken;
+  let code, taken = run_against_stub ~reconnects:1 in
+  check_int "budget 1: exit code" 3 code;
+  check_int "budget 1: connections" 2 taken
+
 let () =
   Alcotest.run "dist"
     [ ( "frame",
@@ -1243,6 +1299,9 @@ let () =
       ( "setup",
         [ Alcotest.test_case "build" `Quick test_setup_build;
           Alcotest.test_case "rejects" `Quick test_setup_rejects ] );
+      ( "node",
+        [ Alcotest.test_case "a link lost before the first hello reconnects"
+            `Quick test_node_first_hello_reconnects ] );
       ( "e2e",
         [ Alcotest.test_case "lossless matches Core.Engine" `Slow
             test_e2e_lossless_matches_engine;

@@ -175,10 +175,10 @@ let test_horizon_fixed_and_mixing () =
   let init = Core.Loads.point_mass ~n:8 ~total:80 in
   let gap = Graphs.Spectral.complete_gap ~n:8 ~self_loops:7 in
   check_int "fixed" 42
-    (Harness.Experiment.horizon_steps ~gap ~graph:g ~self_loops:7 ~init
+    (Harness.Experiment.horizon_steps ~gap:(lazy gap) ~graph:g ~self_loops:7 ~init
        (Harness.Experiment.Fixed_steps 42));
   let t =
-    Harness.Experiment.horizon_steps ~gap ~graph:g ~self_loops:7 ~init
+    Harness.Experiment.horizon_steps ~gap:(lazy gap) ~graph:g ~self_loops:7 ~init
       (Harness.Experiment.Mixing_multiple 4.0)
   in
   check_bool "mixing positive" true (t >= 1 && t < 1000)
@@ -188,7 +188,7 @@ let test_horizon_continuous () =
   let init = Core.Loads.point_mass ~n:8 ~total:800 in
   let gap = Graphs.Spectral.complete_gap ~n:8 ~self_loops:7 in
   let t =
-    Harness.Experiment.horizon_steps ~gap ~graph:g ~self_loops:7 ~init
+    Harness.Experiment.horizon_steps ~gap:(lazy gap) ~graph:g ~self_loops:7 ~init
       (Harness.Experiment.Continuous_multiple 2.0)
   in
   check_bool "continuous positive" true (t >= 2 && t < 1000)
@@ -210,36 +210,51 @@ let test_spec_gap_dispatch () =
   Alcotest.(check (float 0.0)) "random regular" (spectral_gap ~graph ~self_loops:6)
     (spec_gap spec ~graph ~self_loops:6)
 
+(* A closed rotor-router run through the scenario compiler's lowering,
+   the path lb_sim takes: the prepared run and the core engine's
+   result and hitting time. *)
+let lowered_rotor_run ?(audit = false) ?target ~graph ~self_loops ~init ~horizon () =
+  let typed =
+    { Scenario.Check.graph; init; algo_name = "rotor-router";
+      self_loops = Some self_loops; algo_seed = None; fault_seed = 1;
+      run = Scenario.Check.Closed { (Scenario.Check.closed horizon) with audit; target } }
+  in
+  let p = Scenario.Compile.prepare typed in
+  match Scenario.Compile.execute p with
+  | Scenario.Compile.Rounds { result; time_to_target } -> (p, result, time_to_target)
+  | Scenario.Compile.Faulted _ | Scenario.Compile.Networked _
+  | Scenario.Compile.Opened _ ->
+    Alcotest.fail "a plain closed run must lower onto the core engine"
+
 let test_run_end_to_end () =
-  let outcome =
-    Harness.Experiment.run ~audit:true ~target:14
-      ~graph:(Harness.Experiment.Torus2d 4)
-      ~algo:(Harness.Experiment.Rotor_router { self_loops = 4 })
+  let p, result, _ =
+    lowered_rotor_run ~audit:true ~target:14
+      ~graph:(Harness.Experiment.Torus2d 4) ~self_loops:4
       ~init:(Harness.Experiment.Point_mass 640)
       ~horizon:(Harness.Experiment.Mixing_multiple 4.0)
       ()
   in
-  check_int "n" 16 outcome.Harness.Experiment.n;
-  check_int "initial discrepancy" 640 outcome.Harness.Experiment.initial_discrepancy;
-  check_bool "gap recorded" true (outcome.Harness.Experiment.gap > 0.0);
-  check_bool "final small" true (outcome.Harness.Experiment.final_discrepancy < 100);
-  check_bool "fairness present" true (outcome.Harness.Experiment.fairness <> None);
-  (match outcome.Harness.Experiment.fairness with
+  check_int "n" 16 (Graphs.Graph.n p.Scenario.Compile.graph);
+  check_int "initial discrepancy" 640 (Core.Loads.discrepancy p.Scenario.Compile.init);
+  check_bool "gap recorded" true (Lazy.force p.Scenario.Compile.gap > 0.0);
+  check_bool "final small" true
+    (Core.Loads.discrepancy result.Core.Engine.final_loads < 100);
+  check_bool "fairness present" true (result.Core.Engine.fairness <> None);
+  (match result.Core.Engine.fairness with
   | Some rep -> check_bool "delta ≤ 1" true (rep.Core.Fairness.cumulative_delta <= 1)
   | None -> ());
   check_bool "ran to horizon" true
-    (outcome.Harness.Experiment.steps = outcome.Harness.Experiment.horizon)
+    (result.Core.Engine.steps_run = p.Scenario.Compile.steps)
 
 let test_run_records_time_to_target () =
-  let outcome =
-    Harness.Experiment.run ~target:20
-      ~graph:(Harness.Experiment.Complete 8)
-      ~algo:(Harness.Experiment.Rotor_router { self_loops = 7 })
+  let _, _, time_to_target =
+    lowered_rotor_run ~target:20
+      ~graph:(Harness.Experiment.Complete 8) ~self_loops:7
       ~init:(Harness.Experiment.Point_mass 800)
       ~horizon:(Harness.Experiment.Fixed_steps 500)
       ()
   in
-  match outcome.Harness.Experiment.time_to_target with
+  match time_to_target with
   | None -> Alcotest.fail "K8 should hit 20 quickly"
   | Some t -> check_bool "positive hit time" true (t > 0 && t < 500)
 

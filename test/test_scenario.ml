@@ -103,7 +103,9 @@ let test_parse_range_sweep () =
     List.iteri
       (fun k (it : Co.item) ->
         match it.payload with
-        | Co.Run { run = C.Closed { steps; _ }; _ } -> check_int "steps" (2 + k) steps
+        | Co.Run { run = C.Closed { horizon = Harness.Experiment.Fixed_steps steps; _ }; _ }
+          ->
+          check_int "steps" (2 + k) steps
         | _ -> Alcotest.fail "expected closed run")
       items
 
@@ -226,7 +228,8 @@ let test_overlay_replaces_kind () =
   | Ok [ { Co.payload = Co.Run t; _ } ] ->
     check_bool "graph replaced" true (t.C.graph = Harness.Experiment.Complete 6);
     (match t.C.run with
-    | C.Closed { steps; _ } -> check_int "steps replaced" 9 steps
+    | C.Closed { horizon = Harness.Experiment.Fixed_steps steps; _ } ->
+      check_int "steps replaced" 9 steps
     | _ -> Alcotest.fail "expected closed run")
   | Ok _ -> Alcotest.fail "expected one item"
   | Error (m, _) -> Alcotest.fail m
@@ -271,7 +274,7 @@ let plan_one src =
 
 let test_closed_matches_core_engine () =
   let t = plan_one minimal in
-  match Co.execute t with
+  match Co.run t with
   | Error m -> Alcotest.fail m
   | Ok o ->
     let graph = Graphs.Gen.cycle 8 in
@@ -290,7 +293,7 @@ let test_open_matches_handwritten () =
      workload-seed 11\n}\n"
   in
   let t = plan_one src in
-  match Co.execute t with
+  match Co.run t with
   | Error m -> Alcotest.fail m
   | Ok o ->
     (* the lb_sim PRNG convention, written out by hand *)
@@ -317,12 +320,89 @@ let test_execute_replayable () =
        send-floor\n  steps 20\n  faults [ crash(0.3, 5, wipe, spill) ]\n  net { drop \
        0.1 delay 1 }\n  seed 4\n}\n"
   in
-  match (Co.execute t, Co.execute t) with
+  match (Co.run t, Co.run t) with
   | Ok a, Ok b ->
     check_bool "replay bit-identical" true (a.Co.final_loads = b.Co.final_loads);
     check_bool "conserved" true a.Co.conserved;
     check_bool "drained" true a.Co.drained
   | Error m, _ | _, Error m -> Alcotest.fail m
+
+let closed_of (t : C.typed) =
+  match t.C.run with
+  | C.Closed c -> c
+  | C.Open _ | C.Cluster _ -> Alcotest.fail "expected a closed run"
+
+(* A closed run on a lossy network with a crash that loses tokens and a
+   retransmission schedule of its own: the lowering must hand the
+   network engine the realized plan and the typed run's protocol.  The
+   expected run is wired by hand from the prepared graph and loads. *)
+let test_net_matches_async_engine () =
+  let t =
+    plan_one
+      "let main = scenario {\n  graph torus(4, 4)\n  init bimodal(24, 0)\n  balancer \
+       send-floor\n  steps 20\n  faults [ crash(0.3, 5, wipe, lose) ]\n  net { drop \
+       0.1 delay 1 }\n  seed 4\n}\n"
+  in
+  let c = closed_of t in
+  let protocol =
+    { Net.Protocol.default_config with Net.Protocol.timeout = 2; backoff = Net.Protocol.Fixed }
+  in
+  let net =
+    match c.C.net with
+    | Some n -> { n with C.protocol }
+    | None -> Alcotest.fail "expected a net clause"
+  in
+  let p = Co.prepare { t with C.run = C.Closed { c with C.net = Some net } } in
+  match Co.execute p with
+  | Co.Networked r ->
+    let plan = Faults.Schedule.realize ~seed:4 ~graph:p.Co.graph c.C.faults in
+    let config =
+      { Net.Async_engine.default_config with
+        Net.Async_engine.channel = net.C.channel;
+        protocol }
+    in
+    let expected =
+      Net.Async_engine.run ~config ~plan ~graph:p.Co.graph
+        ~balancer:(p.Co.make_balancer ()) ~init:p.Co.init ~steps:20 ()
+    in
+    check_bool "tokens lost to the crash" true (expected.Net.Async_engine.lost > 0);
+    check_bool "bit-identical loads" true
+      (r.Net.Async_engine.result.Core.Engine.final_loads
+      = expected.Net.Async_engine.result.Core.Engine.final_loads);
+    check_bool "identical transport and ledger" true
+      (Net.Async_engine.report_lines r = Net.Async_engine.report_lines expected)
+  | Co.Rounds _ | Co.Faulted _ | Co.Opened _ ->
+    Alcotest.fail "a closed run on a network must lower onto Net.Async_engine"
+
+(* random-extra draws per shard, so under the fault engine two shards
+   take their own trajectory: the lowering must run a sharded fault
+   plan on the sharded engine. *)
+let test_sharded_faults_stay_sharded () =
+  let t =
+    plan_one
+      "let main = scenario {\n  graph torus(8, 8)\n  init point(1024)\n  balancer \
+       random-extra\n  steps 60\n  faults [ crash(0.1, 20, wipe, lose) ]\n  seed 3\n}\n"
+  in
+  let c = closed_of t in
+  let shards = { C.count = 2; partition = Shard.Partition.Contiguous } in
+  let p = Co.prepare { t with C.run = C.Closed { c with C.shards = Some shards } } in
+  match Co.execute p with
+  | Co.Faulted r ->
+    let plan = Faults.Schedule.realize ~seed:3 ~graph:p.Co.graph c.C.faults in
+    let loads mode =
+      (Faults.Engine.run ~mode ~graph:p.Co.graph ~make_balancer:p.Co.make_balancer ~plan
+         ~init:p.Co.init ~steps:60 ())
+        .Faults.Engine.result.Core.Engine.final_loads
+    in
+    let sharded =
+      loads (Faults.Engine.Sharded { shards = 2; strategy = Shard.Partition.Contiguous })
+    in
+    check_bool "the engines differ on this run" false
+      (sharded = loads Faults.Engine.Sequential);
+    check_bool "lowered = sharded" true
+      (r.Faults.Engine.result.Core.Engine.final_loads = sharded)
+  | Co.Rounds _ | Co.Networked _ | Co.Opened _ ->
+    Alcotest.fail "a closed run with faults must lower onto Faults.Engine"
 
 let test_dist_compile_only () =
   let t =
@@ -331,7 +411,7 @@ let test_dist_compile_only () =
        rotor-router\n  rounds 9\n  seed 3\n  dist { shards 3 kill(1, 4) drop 0.05 }\n  \
        partition [2] @ 0.1 .. 0.4\n}\n"
   in
-  (match Co.execute t with
+  (match Co.run t with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "dist scenarios must not execute in-process");
   match Co.cluster_command t with
@@ -394,7 +474,7 @@ let test_generated_well_typed_and_conserving () =
         (Printf.sprintf "generated scenario %d ill-typed: %s\n%s" index m
            (Pr.file (G.to_file sc)))
     | Ok t -> (
-      match Co.execute t with
+      match Co.run t with
       | Error m -> Alcotest.fail (Printf.sprintf "scenario %d: %s" index m)
       | Ok o ->
         check_bool (Printf.sprintf "scenario %d conserved" index) true o.Co.conserved;
@@ -448,6 +528,10 @@ let () =
         [ Alcotest.test_case "closed = Core.Engine" `Quick test_closed_matches_core_engine;
           Alcotest.test_case "open = Openrun (lb_sim PRNG)" `Quick
             test_open_matches_handwritten;
+          Alcotest.test_case "net = Async_engine (plan, protocol)" `Quick
+            test_net_matches_async_engine;
+          Alcotest.test_case "sharded faults stay sharded" `Quick
+            test_sharded_faults_stay_sharded;
           Alcotest.test_case "replayable" `Quick test_execute_replayable;
           Alcotest.test_case "dist is compile-only" `Quick test_dist_compile_only ] );
       ( "chaos-lbs",
