@@ -217,10 +217,12 @@ cmp "$open_dir/loads" "$open_dir/loads.net" || {
 }
 rm -rf "$open_dir"
 
-echo "== mutants: every catalogued kernel, engine and lowering bug is caught by its tests =="
+echo "== mutants: every catalogued kernel, engine, lowering, graph and prng bug is caught by its tests =="
 # test/mutants/*.mut lists bugs in the rotor kernel and the packed
 # targets, in the engines' node step, step_into and the sharded merge,
-# and in Scenario.Compile's lowering onto the engines; each is made
+# in Scenario.Compile's lowering onto the engines, and in the 32-bit
+# slots (Prng.Slots), the graph's edge list in them and Splitmix's
+# shuffle over them; each is made
 # again in a scratch copy and the test executables named for it must
 # fail.  run.py itself must refuse an entry whose source text is
 # absent and fail on a no-op entry that is not marked equivalent.
@@ -464,10 +466,10 @@ echo "$perf" | tail -n 1 | grep -q '"correct": true' || {
   exit 1
 }
 # The 256x256 torus build and the open system's buffers set this peak
-# heap.  With the edge array written in place and the plain stepper
-# scattering into a kept spare instead of a fresh vector each round, it
-# reads 6.82 MB, deterministic for the build and seed.
-peak_heap_at_most open-torus 8
+# heap.  With the edge list written in place in 32-bit slots and the
+# plain stepper scattering into a kept spare instead of a fresh vector
+# each round, it reads 5.77 MB, deterministic for the build and seed.
+peak_heap_at_most open-torus 6.5
 
 echo "== perfbench smoke: closed-expander end to end for 2 s =="
 # The only CI path that builds a 2^18-node random 8-regular graph end to
@@ -479,8 +481,9 @@ echo "$perf" | tail -n 1 | grep -q '"correct": true' || {
   exit 1
 }
 # The graph build sets this workload's peak heap.  Built in place, it
-# stays near the graph's own two n*d-word arrays (33.6 MB); the figure
-# is deterministic for one build and seed.
-peak_heap_at_most closed-expander 50
+# stays near the graph itself, an n*d-word adjacency and an edge list of
+# n*d 32-bit slots (25.2 MB): it reads 27.79 MB, deterministic for one
+# build and seed.
+peak_heap_at_most closed-expander 31
 
 echo "== ci.sh: all green =="

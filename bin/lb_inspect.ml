@@ -36,9 +36,10 @@ let run graph self_loops k =
     Printf.printf "nodes:      %d\n" n;
     Printf.printf "degree:     %d\n" d;
     Printf.printf "edges:      %d\n" (Graphs.Graph.edge_count g);
-    Printf.printf "connected:  %b\n" (Graphs.Props.is_connected g);
+    let connected = Graphs.Props.is_connected g in
+    Printf.printf "connected:  %b\n" connected;
     Printf.printf "bipartite:  %b\n" (Graphs.Props.is_bipartite g);
-    if Graphs.Props.is_connected g then
+    if connected then
       Printf.printf "diameter:   %d\n" (Graphs.Props.diameter g);
     (match Graphs.Props.girth g with
     | Some girth -> Printf.printf "girth:      %d\n" girth

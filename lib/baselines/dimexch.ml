@@ -30,14 +30,15 @@ let edge_coloring g =
 
 (* A maximal matching grown greedily over the edges in a random order,
    written into [pairs] as u₀ v₀ u₁ v₁ …; returns the pair count.
-   [order] is refilled with a random permutation in place and [matched]
-   is cleared, so a round allocates nothing. *)
+   [order], one 32-bit slot per edge, is refilled with a random
+   permutation in place and [matched] is cleared, so a round allocates
+   nothing. *)
 let random_maximal_matching rng ~edges ~order ~matched ~pairs =
   Prng.Splitmix.fill_permutation rng order;
   Array.fill matched 0 (Array.length matched) false;
   let count = ref 0 in
-  for i = 0 to Array.length order - 1 do
-    let u, v = edges.(order.(i)) in
+  for i = 0 to Array.length edges - 1 do
+    let u, v = edges.(Prng.Slots.get order i) in
     if (not matched.(u)) && not matched.(v) then begin
       matched.(u) <- true;
       matched.(v) <- true;
@@ -85,8 +86,8 @@ let run ?(sample_every = 1) ?stop_at_discrepancy mode g ~init ~steps =
     match mode with
     | Random_matching _ ->
       let edges = Graphs.Graph.edges g in
-      (edges, Array.make (Array.length edges) 0, Array.make n false, Array.make n 0)
-    | Balancing_circuit | Balancing_circuit_randomized _ -> ([||], [||], [||], [||])
+      (edges, Prng.Slots.make (Array.length edges), Array.make n false, Array.make n 0)
+    | Balancing_circuit | Balancing_circuit_randomized _ -> ([||], Prng.Slots.make 0, [||], [||])
   in
   let series = ref [ (0, scan_discrepancy loads) ] in
   let reached = ref None in

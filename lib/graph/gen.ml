@@ -1,25 +1,31 @@
-(* Each generator fills the interleaved edge array of {!Graph.of_ends}
-   itself.  Most fill it from the back, edge g of m in loop order at
-   slot m − 1 − g: that order sets the port numbering, which the digest
+(* The generators' slot writer and reader, unchecked: {!Graph.make_ends}
+   has accepted n, and every generator computes its ids below n and its
+   slot indices inside the buffer it made. *)
+let[@inline] write ends i v = Prng.Slots.unsafe_set ends (i lsl 2) (Int32.of_int v)
+let[@inline] read ends i = Int32.to_int (Prng.Slots.unsafe_get ends (i lsl 2))
+
+(* Each generator fills the 32-bit edge slots of {!Graph.of_ends}
+   itself.  Most fill them from the back, edge g of m in loop order at
+   edge m − 1 − g: that order sets the port numbering, which the digest
    goldens pin.  [push ends p u v] writes (u, v) just before slot !p. *)
-let[@inline] push (ends : int array) p u v =
+let[@inline] push ends p u v =
   p := !p - 2;
-  ends.(!p) <- u;
-  ends.(!p + 1) <- v
+  write ends !p u;
+  write ends (!p + 1) v
 
 let cycle n =
   if n < 3 then invalid_arg "Gen.cycle: n must be >= 3";
-  let ends = Array.make (2 * n) 0 in
+  let ends = Graph.make_ends ~n (2 * n) in
   for i = 0 to n - 1 do
-    ends.(2 * i) <- i;
-    ends.((2 * i) + 1) <- (if i = n - 1 then 0 else i + 1)
+    write ends (2 * i) i;
+    write ends ((2 * i) + 1) (if i = n - 1 then 0 else i + 1)
   done;
   Graph.of_ends ~n ends
 
 let complete n =
   if n < 2 then invalid_arg "Gen.complete: n must be >= 2";
-  let ends = Array.make (n * (n - 1)) 0 in
-  let p = ref (Array.length ends) in
+  let ends = Graph.make_ends ~n (n * (n - 1)) in
+  let p = ref (Prng.Slots.length ends) in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
       push ends p u v
@@ -29,8 +35,8 @@ let complete n =
 
 let complete_bipartite m =
   if m < 1 then invalid_arg "Gen.complete_bipartite: m must be >= 1";
-  let ends = Array.make (2 * m * m) 0 in
-  let p = ref (Array.length ends) in
+  let ends = Graph.make_ends ~n:(2 * m) (2 * m * m) in
+  let p = ref (Prng.Slots.length ends) in
   for u = 0 to m - 1 do
     for v = 0 to m - 1 do
       push ends p u (m + v)
@@ -42,8 +48,8 @@ let hypercube r =
   if r < 1 then invalid_arg "Gen.hypercube: r must be >= 1";
   if r > 20 then invalid_arg "Gen.hypercube: r too large";
   let n = 1 lsl r in
-  let ends = Array.make (n * r) 0 in
-  let p = ref (Array.length ends) in
+  let ends = Graph.make_ends ~n (n * r) in
+  let p = ref (Prng.Slots.length ends) in
   for u = 0 to n - 1 do
     for b = 0 to r - 1 do
       let v = u lxor (1 lsl b) in
@@ -57,7 +63,9 @@ let torus sides =
   List.iter (fun s -> if s < 3 then invalid_arg "Gen.torus: sides must be >= 3") sides;
   let sides = Array.of_list sides in
   let r = Array.length sides in
-  let n = Array.fold_left ( * ) 1 sides in
+  (* Saturating, so that sides whose product wraps are refused as too
+     many nodes rather than built on the wrapped count. *)
+  let n = Array.fold_left (fun acc s -> if acc > max_int / s then max_int else acc * s) 1 sides in
   (* Mixed-radix encoding: coordinate d has stride (product of sides > d). *)
   let stride = Array.make r 1 in
   for d = r - 2 downto 0 do
@@ -74,8 +82,8 @@ let torus sides =
         step (d - 1)
       end
   in
-  let ends = Array.make (2 * n * r) 0 in
-  let p = ref (Array.length ends) in
+  let ends = Graph.make_ends ~n (2 * n * r) in
+  let p = ref (Prng.Slots.length ends) in
   for u = 0 to n - 1 do
     for d = 0 to r - 1 do
       (* Every side is >= 3, so (u, u+1 mod side) lists each edge once. *)
@@ -101,8 +109,8 @@ let circulant n offsets =
   (* An antipodal offset is a matching: each edge once. *)
   let count o = if 2 * o = n then n / 2 else n in
   let m = List.fold_left (fun acc o -> acc + count o) 0 offsets in
-  let ends = Array.make (2 * m) 0 in
-  let p = ref (Array.length ends) in
+  let ends = Graph.make_ends ~n (2 * m) in
+  let p = ref (Prng.Slots.length ends) in
   List.iter
     (fun o ->
       for i = 0 to count o - 1 do
@@ -180,12 +188,12 @@ let suspects adj ~d =
    Every node a proposal touches gets its cursor reset to 0, so that
    {!Graph.fill_rows} re-lays its row in edge order afterwards. *)
 let repair rng ~d ends adj cursor =
-  let m = Array.length ends / 2 in
+  let m = Prng.Slots.length ends / 2 in
   let suspect = suspects adj ~d in
   (* A loop, or a parallel edge (its pair is counted more than once).
      The suspect test first spares a random row access per good edge. *)
   let bad i =
-    let u = ends.(2 * i) and v = ends.((2 * i) + 1) in
+    let u = read ends (2 * i) and v = read ends ((2 * i) + 1) in
     Bytes.get suspect u = '\001' && (u = v || count adj ~d u v > 1)
   in
   (* A pair about to be added: a loop, or any existing copy. *)
@@ -198,8 +206,8 @@ let repair rng ~d ends adj cursor =
       let j = Prng.Splitmix.int rng m in
       if j = i then fix_one i
       else begin
-        let u1 = ends.(2 * i) and v1 = ends.((2 * i) + 1) in
-        let u2 = ends.(2 * j) and v2 = ends.((2 * j) + 1) in
+        let u1 = read ends (2 * i) and v1 = read ends ((2 * i) + 1) in
+        let u2 = read ends (2 * j) and v2 = read ends ((2 * j) + 1) in
         cursor.(u1) <- 0;
         cursor.(v1) <- 0;
         cursor.(u2) <- 0;
@@ -213,8 +221,8 @@ let repair rng ~d ends adj cursor =
           && not ((u1 = u2 && v2 = v1) || (u1 = v1 && v2 = u2))
         in
         if ok then begin
-          ends.((2 * i) + 1) <- v2;
-          ends.((2 * j) + 1) <- v1;
+          write ends ((2 * i) + 1) v2;
+          write ends ((2 * j) + 1) v1;
           add adj ~d u1 v2;
           add adj ~d u2 v1;
           true
@@ -242,11 +250,12 @@ let random_regular ?(max_attempts = 200) rng ~n ~d =
   if d >= n then invalid_arg "Gen.random_regular: d must be < n";
   if n * d mod 2 <> 0 then invalid_arg "Gen.random_regular: n * d must be even";
   let attempt () =
-    (* The shuffled stubs, read in pairs, are the edge list itself. *)
-    let ends = Array.make (n * d) 0 in
+    (* The stubs, shuffled in place in their slots and read in pairs,
+       are the edge list itself. *)
+    let ends = Graph.make_ends ~n (n * d) in
     for u = 0 to n - 1 do
       for p = u * d to (u * d) + d - 1 do
-        ends.(p) <- u
+        write ends p u
       done
     done;
     Prng.Splitmix.shuffle rng ends;
@@ -255,8 +264,10 @@ let random_regular ?(max_attempts = 200) rng ~n ~d =
     Graph.fill_rows ~degree:d ends adj cursor;
     if repair rng ~d ends adj cursor then begin
       Graph.fill_rows ~degree:d ends adj cursor;
-      let g = Graph.of_rows ~n ends adj in
-      if Props.is_connected g then Some g else None
+      (* The cursor is dead once the rows are laid out: the checks count
+         degrees in it, and the connectivity BFS queues nodes in it. *)
+      let g = Graph.of_rows ~n ends adj ~cursor in
+      if Props.is_connected ~queue:cursor g then Some g else None
     end
     else None
   in
@@ -270,12 +281,12 @@ let random_regular ?(max_attempts = 200) rng ~n ~d =
 
 let bipartite_double_cover g =
   let n = Graph.n g in
-  let ends = Array.make (4 * Graph.edge_count g) 0 in
+  let ends = Graph.make_ends ~n:(2 * n) (4 * Graph.edge_count g) in
   let p = ref 0 in
   Graph.iter_edges g (fun u v ->
-      ends.(!p) <- u;
-      ends.(!p + 1) <- n + v;
-      ends.(!p + 2) <- v;
-      ends.(!p + 3) <- n + u;
+      write ends !p u;
+      write ends (!p + 1) (n + v);
+      write ends (!p + 2) v;
+      write ends (!p + 3) (n + u);
       p := !p + 4);
   Graph.of_ends ~n:(2 * n) ends

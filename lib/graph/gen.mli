@@ -1,9 +1,11 @@
 (** Generators for the d-regular graph families used in the paper's
     statements and experiments.
 
-    Every generator fills the graph's interleaved edge array in place
-    and hands it to {!Graph.of_ends}; none builds an edge list.  The
-    edge order, and so every port number, is pinned by digest goldens. *)
+    Every generator fills the graph's edge list of 32-bit slots in
+    place and hands it to {!Graph.of_ends}; none builds another.  The
+    edge order, and so every port number, is pinned by digest goldens.
+    @raise Invalid_argument ["Graph.of_edges: endpoint out of range"]
+    from any generator asked for more than 2³¹ nodes. *)
 
 val cycle : int -> Graph.t
 (** [cycle n] is the n-cycle (2-regular).  [n >= 3]. *)
@@ -49,8 +51,10 @@ val random_regular : ?max_attempts:int -> Prng.Splitmix.t -> n:int -> d:int -> G
 (** Uniform-ish random simple d-regular graph by the pairing
     (configuration) model with rejection of loops/parallel edges and a
     final edge-switch repair pass, run in place on the adjacency rows:
-    the build's peak heap is the graph's two n·d-word arrays plus O(n)
-    words.  [n·d] must be even, [d < n].
+    the build's peak heap is the graph itself, an n·d-word adjacency
+    and an edge list of n·d 32-bit slots, plus one n-int row cursor
+    (which the checks and the connectivity BFS reuse) and O(n) bytes.
+    [n·d] must be even, [d < n].
     @raise Failure if no simple graph is found within
     [max_attempts] (default 200) full restarts — practically unreachable
     for d = O(√n). *)

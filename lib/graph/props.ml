@@ -38,9 +38,35 @@ let diameter g =
   done;
   !best
 
-let is_connected g =
-  let dist = bfs_distances g 0 in
-  Array.for_all (fun d -> d < max_int) dist
+(* A BFS from node 0 that marks each node it reaches with one byte and
+   counts them: connected iff it reaches all n. *)
+let is_connected ?queue g =
+  let n = Graph.n g in
+  let d = Graph.degree g and adj = Graph.adjacency g in
+  let queue =
+    match queue with
+    | None -> Array.make n 0
+    | Some q ->
+      if Array.length q < n then invalid_arg "Props.is_connected: queue shorter than n";
+      q
+  in
+  let seen = Bytes.make n '\000' in
+  Bytes.set seen 0 '\001';
+  queue.(0) <- 0;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for p = u * d to (u * d) + d - 1 do
+      let v = adj.(p) in
+      if Bytes.get seen v = '\000' then begin
+        Bytes.set seen v '\001';
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
+  done;
+  !tail = n
 
 let is_bipartite g =
   let n = Graph.n g in

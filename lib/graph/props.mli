@@ -13,7 +13,12 @@ val eccentricity : Graph.t -> int -> int
 val diameter : Graph.t -> int
 (** Maximum eccentricity.  @raise Failure if disconnected. *)
 
-val is_connected : Graph.t -> bool
+val is_connected : ?queue:int array -> Graph.t -> bool
+(** Whether every node is reachable from node 0.  One BFS that marks
+    nodes with a byte each; its queue is [queue] when given (at least
+    n long, overwritten), so a caller with a dead n-int array can lend
+    it, and a fresh n-int array otherwise.
+    @raise Invalid_argument if [queue] is shorter than n. *)
 
 val is_bipartite : Graph.t -> bool
 

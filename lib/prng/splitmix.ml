@@ -103,12 +103,10 @@ let add_uniform g a c =
     Bytes.set_int64_ne g 0 !s
   end
 
-(* Monomorphic on purpose: over a generic array every read would test
-   for a float array and every write go through [caml_modify]. *)
-let shuffle g (a : int array) =
+let shuffle g a =
   let s = ref (Bytes.get_int64_ne g 0) in
   let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  for i = Array.length a - 1 downto 1 do
+  for i = Slots.length a - 1 downto 1 do
     let bound = i + 1 in
     let j =
       if bound land (bound - 1) = 0 then begin
@@ -126,15 +124,16 @@ let shuffle g (a : int array) =
         !r
       end
     in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
+    (* j <= i < Slots.length a *)
+    let tmp = Slots.unsafe_get a (i lsl 2) in
+    Slots.unsafe_set a (i lsl 2) (Slots.unsafe_get a (j lsl 2));
+    Slots.unsafe_set a (j lsl 2) tmp
   done;
   Bytes.set_int64_ne g 0 !s
 
 let fill_permutation g a =
-  for i = 0 to Array.length a - 1 do
-    a.(i) <- i
+  for i = 0 to Slots.length a - 1 do
+    Slots.unsafe_set a (i lsl 2) (Int32.of_int i)
   done;
   shuffle g a
 

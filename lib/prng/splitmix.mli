@@ -37,21 +37,22 @@ val add_uniform : t -> int array -> int -> unit
     the batch, so the loop allocates nothing and costs no call per draw.
     @raise Invalid_argument if [c > 0] and [a] is empty. *)
 
-val shuffle : t -> int array -> unit
-(** [shuffle g a] shuffles [a] in place by Fisher–Yates: for [i] from
-    [Array.length a - 1] down to 1 it swaps [a.(i)] with
-    [a.(int g (i + 1))].  Draw for draw it is that loop over {!int}: the
-    same permutation, the power-of-two and the rejection paths
+val shuffle : t -> Slots.t -> unit
+(** [shuffle g a] shuffles the slots of [a] in place by Fisher–Yates:
+    for [i] from [Slots.length a - 1] down to 1 it swaps slot [i] with
+    slot [int g (i + 1)].  Draw for draw it is that loop over {!int}:
+    the same permutation, the power-of-two and the rejection paths
     included, and the same generator state afterwards.  Like
     {!add_uniform}, it keeps the state in a register for the whole pass
-    and allocates nothing.  To shuffle other values, shuffle an index
-    permutation and map through it. *)
+    and allocates nothing.  It is the one shuffle: a caller with other
+    values shuffles a slot permutation from {!fill_permutation} and
+    maps through it. *)
 
-val fill_permutation : t -> int array -> unit
-(** [fill_permutation g a] overwrites [a] with a uniformly random
-    permutation of [0 .. Array.length a - 1]: the identity, then
-    {!shuffle}.  It allocates nothing, so a caller drawing one
-    permutation a round can reuse one buffer. *)
+val fill_permutation : t -> Slots.t -> unit
+(** [fill_permutation g a] overwrites the [k = Slots.length a] slots of
+    [a] with a uniformly random permutation of [0 .. k-1]: the
+    identity, then {!shuffle}.  It allocates nothing, so a caller
+    drawing one permutation a round can reuse one buffer. *)
 
 val knuth_count : t -> leaves:int -> float -> int
 (** [knuth_count g ~leaves l] is the sum of [leaves] independent counts

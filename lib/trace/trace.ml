@@ -53,11 +53,11 @@ let record ~graph ~balancer ~init ~steps =
   (trace, result)
 
 let graph_of t =
-  let ends = Array.make (2 * Array.length t.edges) 0 in
+  let ends = Graphs.Graph.make_ends ~n:t.n (2 * Array.length t.edges) in
   Array.iteri
     (fun i (u, v) ->
-      ends.(2 * i) <- u;
-      ends.((2 * i) + 1) <- v)
+      Graphs.Graph.set_end ends (2 * i) u;
+      Graphs.Graph.set_end ends ((2 * i) + 1) v)
     t.edges;
   Graphs.Graph.of_ends ~n:t.n ends
 

@@ -246,7 +246,7 @@ let test_shuffle_golden () =
     (fun (len, seed, expected, next) ->
       let rng = Prng.Splitmix.create seed in
       let a = Array.init len (fun i -> i) in
-      Prng.Splitmix.shuffle rng a;
+      Slots.shuffle rng a;
       let name = Printf.sprintf "shuffle len=%d seed=%d" len seed in
       let got = if len <= 9 then show a else Digest.to_hex (Digest.string (show a)) in
       Alcotest.(check string) name expected got;

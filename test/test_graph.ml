@@ -54,18 +54,101 @@ let test_of_edges_errors () =
       (3, [ (0, 1) ], "Graph.of_edges: not regular (node 2 has degree 0, node 0 has 1)");
     ]
 
+(* An edge list in 32-bit slots, written through the checked writer. *)
+let ends_of a =
+  let ends = Prng.Slots.make (Array.length a) in
+  Array.iteri (Graphs.Graph.set_end ends) a;
+  ends
+
 (* [of_ends] is [of_edges]' validation and layout over a caller-filled
-   array, which the graph adopts; an odd length is its own error. *)
+   edge list, which the graph adopts; an odd slot count is its own
+   error. *)
 let test_of_ends () =
-  let ends = [| 0; 1; 1; 2; 2; 0 |] in
+  let ends = ends_of [| 0; 1; 1; 2; 2; 0 |] in
   let g = Graphs.Graph.of_ends ~n:3 ends in
   let g' = Graphs.Graph.of_edges ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
   Alcotest.(check (array int)) "adjacency" (Graphs.Graph.adjacency g') (Graphs.Graph.adjacency g);
   Alcotest.(check (array (pair int int))) "edges" (Graphs.Graph.edges g') (Graphs.Graph.edges g);
   Alcotest.check_raises "odd length" (Invalid_argument "Graph.of_edges: odd number of endpoints")
-    (fun () -> ignore (Graphs.Graph.of_ends ~n:3 [| 0; 1; 2 |]));
+    (fun () -> ignore (Graphs.Graph.of_ends ~n:3 (ends_of [| 0; 1; 2 |])));
   Alcotest.check_raises "self-edge" (Invalid_argument "Graph.of_edges: self-edges are not allowed")
-    (fun () -> ignore (Graphs.Graph.of_ends ~n:2 [| 1; 1 |]))
+    (fun () -> ignore (Graphs.Graph.of_ends ~n:2 (ends_of [| 1; 1 |])))
+
+(* [of_rows] adopts rows that [fill_rows] laid out and runs [of_edges]'
+   checks, with the same texts, counting degrees in the row cursor. *)
+let test_of_rows () =
+  let build n a =
+    let ends = ends_of a in
+    let d = Array.length a / n in
+    let adj = Array.make (n * d) (-1) and cursor = Array.make n 0 in
+    Graphs.Graph.fill_rows ~degree:d ends adj cursor;
+    Graphs.Graph.of_rows ~n ends adj ~cursor
+  in
+  let g = build 3 [| 0; 1; 1; 2; 2; 0 |] in
+  let g' = Graphs.Graph.of_edges ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
+  Alcotest.(check (array int)) "adjacency" (Graphs.Graph.adjacency g') (Graphs.Graph.adjacency g);
+  Alcotest.(check (array (pair int int))) "edges" (Graphs.Graph.edges g') (Graphs.Graph.edges g);
+  Alcotest.check_raises "self-edge" (Invalid_argument "Graph.of_edges: self-edges are not allowed")
+    (fun () -> ignore (build 2 [| 1; 1 |]));
+  Alcotest.check_raises "irregular"
+    (Invalid_argument "Graph.of_edges: not regular (node 1 has degree 2, node 0 has 3)")
+    (fun () -> ignore (build 4 [| 0; 1; 1; 2; 2; 0; 3; 0 |]));
+  Alcotest.check_raises "odd length" (Invalid_argument "Graph.of_edges: odd number of endpoints")
+    (fun () ->
+      ignore
+        (Graphs.Graph.of_rows ~n:3 (ends_of [| 0; 1; 2 |]) (Array.make 3 0)
+           ~cursor:(Array.make 3 0)));
+  Alcotest.check_raises "short cursor" (Invalid_argument "Graph.of_rows: cursor is not n long")
+    (fun () ->
+      ignore
+        (Graphs.Graph.of_rows ~n:3 (ends_of [| 0; 1; 1; 2; 2; 0 |]) (Array.make 6 0)
+           ~cursor:(Array.make 2 0)))
+
+(* A node id is stored in a 32-bit slot.  One outside [0, 2^31) raises
+   the range error through [of_edges] and [Graph.set_end], and never
+   wraps: 2^32 and -2^32 would wrap to 0, which closes the triangle
+   below. *)
+let test_endpoint_range () =
+  let out_of_range = Invalid_argument "Graph.of_edges: endpoint out of range" in
+  let triangle = [| (0, 1); (1, 2); (2, 0) |] in
+  List.iter
+    (fun v ->
+      let name = Printf.sprintf "endpoint %d" v in
+      Alcotest.check_raises ("of_edges, " ^ name) out_of_range (fun () ->
+          ignore (Graphs.Graph.of_edges ~n:3 [ (0, 1); (1, 2); (2, v) ]));
+      let ends = ends_of [| 0; 1; 1; 2; 2; 0 |] in
+      Alcotest.check_raises ("set_end, " ^ name) out_of_range (fun () ->
+          Graphs.Graph.set_end ends 5 v);
+      Alcotest.(check (array (pair int int)))
+        ("set_end keeps the slot, " ^ name)
+        triangle
+        (Graphs.Graph.edges (Graphs.Graph.of_ends ~n:3 ends)))
+    [ 1 lsl 32; -(1 lsl 32); 1 lsl 31; (1 lsl 32) + 3; -1; max_int; min_int ];
+  (* 2^31 - 1, the largest id a slot holds, is stored as it is; a slot
+     index past the end is refused. *)
+  let top = ends_of [| Graphs.Graph.max_end |] in
+  check_int "2^31 - 1 stored" 0x7fff_ffff (Prng.Slots.get top 0);
+  Alcotest.check_raises "set_end past the end"
+    (Invalid_argument "Slots.set: slot out of range") (fun () -> Graphs.Graph.set_end top 1 0)
+
+(* The generators write their slots unchecked once [make_ends] has
+   accepted n: more than 2^31 nodes is refused before anything is
+   allocated, and so is a torus whose side product wraps (2^64 to 0)
+   and a bipartite graph whose node count 2m wraps negative. *)
+let test_node_count_range () =
+  let out_of_range = Invalid_argument "Graph.of_edges: endpoint out of range" in
+  let top = Graphs.Graph.max_end + 1 in
+  check_int "2^31 nodes, no slots" 0 (Prng.Slots.length (Graphs.Graph.make_ends ~n:top 0));
+  Alcotest.check_raises "2^31 + 1 nodes" out_of_range (fun () ->
+      ignore (Graphs.Graph.make_ends ~n:(top + 1) 0));
+  Alcotest.check_raises "no nodes" (Invalid_argument "Graph.of_edges: n must be positive")
+    (fun () -> ignore (Graphs.Graph.make_ends ~n:0 0));
+  Alcotest.check_raises "cycle 2^60" out_of_range (fun () ->
+      ignore (Graphs.Gen.cycle (1 lsl 60)));
+  Alcotest.check_raises "torus 2^32 x 2^32" out_of_range (fun () ->
+      ignore (Graphs.Gen.torus [ 1 lsl 32; 1 lsl 32 ]));
+  Alcotest.check_raises "bipartite 2^61" (Invalid_argument "Graph.of_edges: n must be positive")
+    (fun () -> ignore (Graphs.Gen.complete_bipartite (1 lsl 61)))
 
 (* Multigraphs whose parallel edges are interleaved with others and
    given in both orientations: the j-th copy of (u, v) at u pairs with
@@ -242,6 +325,20 @@ let test_bfs_distances_cycle () =
   let d = Graphs.Props.bfs_distances g 0 in
   Alcotest.(check (array int)) "distances" [| 0; 1; 2; 3; 3; 2; 1 |] d
 
+(* Two disjoint triangles are disconnected, one hexagon is not, with a
+   fresh queue or a lent one holding stale entries. *)
+let test_is_connected () =
+  let triangles = Graphs.Graph.of_edges ~n:6 [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3) ] in
+  let hexagon = Graphs.Gen.cycle 6 in
+  check_bool "two triangles" false (Graphs.Props.is_connected triangles);
+  check_bool "hexagon" true (Graphs.Props.is_connected hexagon);
+  let queue = Array.make 7 5 in
+  check_bool "two triangles, lent queue" false (Graphs.Props.is_connected ~queue triangles);
+  check_bool "hexagon, lent queue" true (Graphs.Props.is_connected ~queue hexagon);
+  Alcotest.check_raises "short queue"
+    (Invalid_argument "Props.is_connected: queue shorter than n") (fun () ->
+      ignore (Graphs.Props.is_connected ~queue:(Array.make 5 0) hexagon))
+
 let test_diameter_known () =
   check_int "cycle 8" 4 (Graphs.Props.diameter (Graphs.Gen.cycle 8));
   check_int "cycle 9" 4 (Graphs.Props.diameter (Graphs.Gen.cycle 9));
@@ -322,8 +419,7 @@ let random_matchings_edges rng ~half ~d =
   let n = 2 * half in
   List.concat
     (List.init d (fun _ ->
-         let p = Array.make n 0 in
-         Prng.Splitmix.fill_permutation rng p;
+         let p = Slots.permutation rng n in
          List.init half (fun i ->
              if Prng.Splitmix.bool rng then (p.(2 * i), p.((2 * i) + 1))
              else (p.((2 * i) + 1), p.(2 * i)))))
@@ -402,6 +498,9 @@ let () =
             test_of_edges_rejects_out_of_range;
           Alcotest.test_case "of_edges errors" `Quick test_of_edges_errors;
           Alcotest.test_case "of_ends" `Quick test_of_ends;
+          Alcotest.test_case "endpoint range" `Quick test_endpoint_range;
+          Alcotest.test_case "node count range" `Quick test_node_count_range;
+          Alcotest.test_case "of_rows" `Quick test_of_rows;
           Alcotest.test_case "multigraph reverse ports" `Quick
             test_multigraph_reverse_ports;
           Alcotest.test_case "reverse port involution" `Quick
@@ -435,6 +534,7 @@ let () =
       ( "props",
         [
           Alcotest.test_case "bfs distances" `Quick test_bfs_distances_cycle;
+          Alcotest.test_case "connected" `Quick test_is_connected;
           Alcotest.test_case "diameter" `Quick test_diameter_known;
           Alcotest.test_case "bipartite" `Quick test_bipartite_known;
           Alcotest.test_case "girth" `Quick test_girth_known;

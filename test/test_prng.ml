@@ -112,15 +112,14 @@ let test_bool_rate () =
 let test_shuffle_is_permutation () =
   let g = Prng.Splitmix.create 13 in
   let a = Array.init 100 (fun i -> i) in
-  Prng.Splitmix.shuffle g a;
+  Slots.shuffle g a;
   let sorted = Array.copy a in
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 100 (fun i -> i)) sorted
 
 let test_permutation_valid () =
   let g = Prng.Splitmix.create 14 in
-  let p = Array.make 50 (-1) in
-  Prng.Splitmix.fill_permutation g p;
+  let p = Slots.permutation g 50 in
   let sorted = Array.copy p in
   Array.sort compare sorted;
   Alcotest.(check (array int)) "valid permutation" (Array.init 50 (fun i -> i)) sorted
@@ -267,7 +266,7 @@ let prop_shuffle_is_int_loop =
         (fun len ->
           let a = Array.init len (fun i -> i) in
           let b = Array.copy a in
-          Prng.Splitmix.shuffle g a;
+          Slots.shuffle g a;
           shuffle_by_int g' b;
           a = b && same_state g g')
         [ 0; 1; 2; 3; 4; 7; 8; 9; 64; 100; 1000; 4095; 4096 ])
@@ -346,6 +345,37 @@ let test_add_uniform_rejection () =
 (* The rejection path of [shuffle]: from a seed whose first draw, with
    bound [len], is rejected, the shuffle makes one extra draw and ends
    as the written-out loop does. *)
+(* A slot holds exactly the 32-bit range: its ends round-trip, one past
+   either end is refused, never wrapped, and so is a slot index outside
+   the buffer.  A length whose byte count would wrap (2^61 slots is 2^63
+   bytes, 0 after the shift) is refused before the shift. *)
+let test_slots () =
+  let a = Prng.Slots.make 3 in
+  check_int "length" 3 (Prng.Slots.length a);
+  check_int "zeroed" 0 (Prng.Slots.get a 2);
+  Prng.Slots.set a 0 0x7fff_ffff;
+  Prng.Slots.set a 1 (-0x8000_0000);
+  check_int "2^31 - 1" 0x7fff_ffff (Prng.Slots.get a 0);
+  check_int "-2^31" (-0x8000_0000) (Prng.Slots.get a 1);
+  let value = Invalid_argument "Slots.set: value out of range" in
+  List.iter
+    (fun v ->
+      Alcotest.check_raises (Printf.sprintf "value %d" v) value (fun () -> Prng.Slots.set a 2 v);
+      check_int (Printf.sprintf "slot kept after %d" v) 0 (Prng.Slots.get a 2))
+    [ 0x8000_0000; -0x8000_0001; 1 lsl 32; max_int; min_int ];
+  List.iter
+    (fun i ->
+      Alcotest.check_raises (Printf.sprintf "set slot %d" i)
+        (Invalid_argument "Slots.set: slot out of range") (fun () -> Prng.Slots.set a i 0);
+      Alcotest.check_raises (Printf.sprintf "get slot %d" i)
+        (Invalid_argument "Slots.get: slot out of range") (fun () -> ignore (Prng.Slots.get a i)))
+    [ -1; 3; 1 lsl 61 ];
+  List.iter
+    (fun k ->
+      Alcotest.check_raises (Printf.sprintf "make %d" k) (Invalid_argument "Slots.make: bad length")
+        (fun () -> ignore (Prng.Slots.make k)))
+    [ -1; 1 lsl 61; max_int ]
+
 let test_shuffle_rejection () =
   List.iter
     (fun len ->
@@ -353,7 +383,7 @@ let test_shuffle_rejection () =
       let g = Prng.Splitmix.create seed and g' = Prng.Splitmix.create seed in
       let a = Array.init len (fun i -> i) in
       let b = Array.copy a in
-      Prng.Splitmix.shuffle g a;
+      Slots.shuffle g a;
       shuffle_by_int g' b;
       Alcotest.(check (array int)) (Printf.sprintf "length %d: permutation" len) b a;
       check_bool (Printf.sprintf "length %d: state" len) true (same_state g g');
@@ -425,6 +455,7 @@ let () =
           Alcotest.test_case "add_uniform rejection path" `Quick
             test_add_uniform_rejection;
           Alcotest.test_case "shuffle rejection path" `Quick test_shuffle_rejection;
+          Alcotest.test_case "slots" `Quick test_slots;
           Alcotest.test_case "int_in range" `Quick test_int_in_range;
           Alcotest.test_case "int uniformity" `Slow test_int_uniformity;
           Alcotest.test_case "float range" `Quick test_float_range;

@@ -81,6 +81,35 @@ let test_verify_detects_tampering () =
   | Ok () -> Alcotest.fail "negative send not detected"
   | Error _ -> ()
 
+(* A trace file whose edge list names a node id past 32 bits: the
+   rebuilt graph must reject it with the range error, not wrap it.  The
+   triangle's last endpoint is 0; 2^32 would wrap to it, n + 2^32 to n. *)
+let test_verify_rejects_wide_endpoint () =
+  let g = Graphs.Gen.cycle 3 in
+  let balancer = Core.Rotor_router.make g ~self_loops:2 in
+  let t, _ = Trace.record ~graph:g ~balancer ~init:[| 9; 0; 4 |] ~steps:4 in
+  let path = Filename.temp_file "loadbal" ".trace" in
+  Trace.save ~path t;
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  let verify_with last =
+    Out_channel.with_open_text path (fun oc ->
+        List.iter
+          (fun l ->
+            let l = if l = "edges 0 1 1 2 2 0" then "edges 0 1 1 2 2 " ^ last else l in
+            Out_channel.output_string oc (l ^ "\n"))
+          lines);
+    Trace.verify (Trace.load ~path)
+  in
+  let as_written = verify_with "0" in
+  let wrapped = List.map (fun v -> verify_with (string_of_int v)) [ 1 lsl 32; 3 + (1 lsl 32) ] in
+  Sys.remove path;
+  check_bool "edges line as recorded" true (List.mem "edges 0 1 1 2 2 0" lines);
+  check_bool "as written verifies" true (as_written = Ok ());
+  List.iter
+    (fun r ->
+      check_bool "endpoint out of range" true (r = Error "Graph.of_edges: endpoint out of range"))
+    wrapped
+
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -311,6 +340,7 @@ let () =
         [
           Alcotest.test_case "verify ok" `Quick test_verify_ok;
           Alcotest.test_case "detects tampering" `Quick test_verify_detects_tampering;
+          Alcotest.test_case "rejects wide endpoint" `Quick test_verify_rejects_wide_endpoint;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_trace_roundtrip_preserves_finals ]);
     ]
