@@ -502,6 +502,10 @@ let run graph algo self_loops init steps horizon target audit series seed shards
         die "the unreliable-network engine is single-domain (no --shards, \
              --domains, --checkpoint or --resume)";
       if netted && audit then die "--audit is not available on an unreliable network";
+      (* A stalled node skips a step of the continuous process that mimic
+         follows, and its loads can go negative. *)
+      if no_degrade && algo = "mimic" then
+        die "--no-degrade: the mimic balancer needs every node to step every round";
       if netted && target <> None then
         die "--target is not available on an unreliable network";
       if netted && (recovery_eps <> None || require_recovery) then
@@ -879,8 +883,8 @@ let no_degrade_arg =
         ~doc:
           "Strict staleness: a node past its $(b,--staleness) window skips \
            the round entirely instead of balancing its last-known load. \
-           Incompatible with balancers that require consecutive steps \
-           (mimic).")
+           Refused with mimic, which needs every node to step every \
+           round.")
 
 let net_seed_arg =
   Arg.(

@@ -167,34 +167,43 @@ let add adj ~d u v =
 (* The nodes whose row holds a loop or a repeated entry.  Only edges
    listed from such a node can be bad, then or later: an accepted swap
    removes copies and adds two pairs that were absent, so it never makes
-   an edge bad. *)
-let suspects adj ~d =
+   an edge bad.  A loop at u lists u twice in row u, so the repeat test
+   finds loops too.  Each row's equalities are OR-ed into one flag,
+   stored once per row, so no compare is a branch.  The rows are typed
+   [int array] so that the compare is an integer one, not the
+   polymorphic [caml_equal] (four times slower at 2^18). *)
+let suspects (adj : int array) ~d =
   let n = Array.length adj / d in
-  let s = Bytes.make n '\000' in
+  let s = Bytes.create n in
   for u = 0 to n - 1 do
     let last = (u * d) + d - 1 in
+    let flag = ref 0 in
     for p = u * d to last do
-      let v = adj.(p) in
-      if v = u then Bytes.set s u '\001';
+      (* p <= last < n·d = length adj, and so is q below *)
+      let v = Array.unsafe_get adj p in
       for q = p + 1 to last do
-        if adj.(q) = v then Bytes.set s u '\001'
+        flag := !flag lor Bool.to_int (Array.unsafe_get adj q = v)
       done
-    done
+    done;
+    Bytes.unsafe_set s u (Char.unsafe_chr !flag)
   done;
   s
 
 (* Repeatedly resolve loops / parallel edges by swapping endpoints with a
    random other pair; accepted only if it strictly reduces badness.
-   Every node a proposal touches gets its cursor reset to 0, so that
-   {!Graph.fill_rows} re-lays its row in edge order afterwards. *)
-let repair rng ~d ends adj cursor =
+   [marked] holds the {!suspects}; every node a proposal touches is
+   marked too, so that {!Graph.of_rows} re-lays its row in edge order
+   afterwards.  A marked row that no proposal touched is still in edge
+   order, and re-laying it changes nothing; nor does a touched node's
+   mark change [bad]: an edge listed from a node that was no suspect is
+   never bad. *)
+let repair rng ~d ends adj marked =
   let m = Prng.Slots.length ends / 2 in
-  let suspect = suspects adj ~d in
   (* A loop, or a parallel edge (its pair is counted more than once).
      The suspect test first spares a random row access per good edge. *)
   let bad i =
     let u = read ends (2 * i) and v = read ends ((2 * i) + 1) in
-    Bytes.get suspect u = '\001' && (u = v || count adj ~d u v > 1)
+    Bytes.get marked u = '\001' && (u = v || count adj ~d u v > 1)
   in
   (* A pair about to be added: a loop, or any existing copy. *)
   let would_be_bad u v = u = v || count adj ~d u v > 0 in
@@ -208,10 +217,10 @@ let repair rng ~d ends adj cursor =
       else begin
         let u1 = read ends (2 * i) and v1 = read ends ((2 * i) + 1) in
         let u2 = read ends (2 * j) and v2 = read ends ((2 * j) + 1) in
-        cursor.(u1) <- 0;
-        cursor.(v1) <- 0;
-        cursor.(u2) <- 0;
-        cursor.(v2) <- 0;
+        Bytes.set marked u1 '\001';
+        Bytes.set marked v1 '\001';
+        Bytes.set marked u2 '\001';
+        Bytes.set marked v2 '\001';
         (* Propose the swap (u1,v1),(u2,v2) -> (u1,v2),(u2,v1). *)
         remove adj ~d u1 v1;
         remove adj ~d u2 v2;
@@ -262,11 +271,12 @@ let random_regular ?(max_attempts = 200) rng ~n ~d =
     let adj = Array.make (n * d) (-1) in
     let cursor = Array.make n 0 in
     Graph.fill_rows ~degree:d ends adj cursor;
-    if repair rng ~d ends adj cursor then begin
-      Graph.fill_rows ~degree:d ends adj cursor;
+    let marked = suspects adj ~d in
+    if repair rng ~d ends adj marked then begin
       (* The cursor is dead once the rows are laid out: the checks count
-         degrees in it, and the connectivity BFS queues nodes in it. *)
-      let g = Graph.of_rows ~n ends adj ~cursor in
+         degrees in it while they re-lay the marked rows, and the
+         connectivity BFS queues nodes in it. *)
+      let g = Graph.of_rows ~n ends adj ~cursor ~marked in
       if Props.is_connected ~queue:cursor g then Some g else None
     end
     else None

@@ -23,9 +23,21 @@ let set_end ends i v =
   if v < 0 || v > max_end then invalid_arg "Graph.of_edges: endpoint out of range";
   Prng.Slots.set ends i v
 
-(* The common degree of the edges in [ends], after the length, range,
-   self-edge and regularity checks; [deg], n long, counts the degrees. *)
-let check_ends ~n ends deg =
+(* Count one endpoint: [u]'s degree so far in [deg] and, if row [u] is
+   marked, [v] written at that port while it is below [d].  Called only
+   with u < n = length deg = length marked. *)
+let[@inline] count deg ~d adj marked u v =
+  let c = Array.unsafe_get deg u in
+  if c < d && Bytes.unsafe_get marked u <> '\000' then adj.((u * d) + c) <- v;
+  Array.unsafe_set deg u (c + 1)
+
+(* The one pass over [ends] that every build makes to validate it: the
+   length, range and self-edge checks, and the degrees counted in [deg],
+   n long.  It also re-lays, in edge order, each row of [adj] ([d] wide)
+   whose byte in [marked], n long, is set; with [d = 0] it lays nothing
+   and reads no mark.  Returns the common degree after the regularity
+   check. *)
+let scan_ends ~n ends deg ~d adj marked =
   if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";
   let k = Prng.Slots.length ends in
   if k mod 2 <> 0 then invalid_arg "Graph.of_edges: odd number of endpoints";
@@ -35,17 +47,17 @@ let check_ends ~n ends deg =
     if u < 0 || u >= n || v < 0 || v >= n then
       invalid_arg "Graph.of_edges: endpoint out of range";
     if u = v then invalid_arg "Graph.of_edges: self-edges are not allowed";
-    deg.(u) <- deg.(u) + 1;
-    deg.(v) <- deg.(v) + 1
+    count deg ~d adj marked u v;
+    count deg ~d adj marked v u
   done;
-  let d = deg.(0) in
+  let d0 = deg.(0) in
   for u = 1 to n - 1 do
-    if deg.(u) <> d then
+    if deg.(u) <> d0 then
       invalid_arg
         (Printf.sprintf "Graph.of_edges: not regular (node %d has degree %d, node 0 has %d)" u
-           deg.(u) d)
+           deg.(u) d0)
   done;
-  d
+  d0
 
 let fill_rows ~degree:d ends adj cursor =
   for i = 0 to (Prng.Slots.length ends / 2) - 1 do
@@ -62,9 +74,10 @@ let fill_rows ~degree:d ends adj cursor =
     end
   done
 
-let of_rows ~n ends adj ~cursor =
+let of_rows ~n ends adj ~cursor ~marked =
   if Array.length cursor <> n then invalid_arg "Graph.of_rows: cursor is not n long";
-  let d = check_ends ~n ends cursor in
+  if Bytes.length marked <> n then invalid_arg "Graph.of_rows: marks are not n long";
+  let d = scan_ends ~n ends cursor ~d:(Array.length adj / max n 1) adj marked in
   if Array.length adj <> n * d then invalid_arg "Graph.of_rows: adjacency is not n * degree long";
   { n; degree = d; adj; ends }
 
@@ -74,7 +87,7 @@ let of_rows ~n ends adj ~cursor =
    build: the open-torus benchmark's peak heap read 6.82 MB that way
    against 5.77 MB so (DESIGN.md §12.1). *)
 let of_ends ~n ends =
-  let d = check_ends ~n ends (Array.make (max n 0) 0) in
+  let d = scan_ends ~n ends (Array.make (max n 0) 0) ~d:0 [||] Bytes.empty in
   let adj = Array.make (n * d) (-1) in
   let cursor = Array.make n 0 in
   fill_rows ~degree:d ends adj cursor;

@@ -60,14 +60,19 @@ val fill_rows : degree:int -> ends -> int array -> int array -> unit
     [degree], advancing it: rows whose cursor starts at 0 are laid out in
     edge order, rows at [degree] are left alone.  For in-place builds. *)
 
-val of_rows : n:int -> ends -> int array -> cursor:int array -> t
-(** [of_rows ~n ends adj ~cursor] adopts the edge list [ends] and its
-    rows [adj], laid out in edge order by {!fill_rows}, without copying;
-    the caller must not mutate them afterwards.  The checks count
-    degrees in [cursor], the n-long row cursor, which is dead once the
-    rows are laid out: it is overwritten, and the caller may reuse it.
+val of_rows : n:int -> ends -> int array -> cursor:int array -> marked:Bytes.t -> t
+(** [of_rows ~n ends adj ~cursor ~marked] adopts the edge list [ends] and
+    its rows [adj] without copying; the caller must not mutate them
+    afterwards.  [adj] holds rows laid out in edge order by {!fill_rows},
+    except the rows whose byte in [marked] is non-zero, which may hold
+    anything: one pass over [ends] runs [of_edges]' checks, counting
+    degrees in [cursor], and re-lays the marked rows in edge order as it
+    goes.  [cursor], the n-long row cursor, is dead once the rows are
+    laid out: it is overwritten, and the caller may reuse it, as it may
+    [marked].
     @raise Invalid_argument as {!of_edges}, or if [adj] is not
-    n·degree long or [cursor] not n long. *)
+    n·degree long or [cursor] or [marked] not n long; the marked rows may
+    have been rewritten by then. *)
 
 val n : t -> int
 (** Number of nodes. *)

@@ -39,7 +39,12 @@ let diameter g =
   !best
 
 (* A BFS from node 0 that marks each node it reaches with one byte and
-   counts them: connected iff it reaches all n. *)
+   counts them: connected iff it reaches all n.  It does not branch on
+   the marks: each neighbour is written at the queue's tail, and the
+   tail moves past it only if it was unmarked.  Once all n nodes are
+   queued the tail stays at n and the write goes to slot n − 1 instead,
+   so the queue needs no slot beyond n; that entry no longer matters,
+   since every node it could lead to is marked. *)
 let is_connected ?queue g =
   let n = Graph.n g in
   let d = Graph.degree g and adj = Graph.adjacency g in
@@ -58,12 +63,14 @@ let is_connected ?queue g =
     let u = queue.(!head) in
     incr head;
     for p = u * d to (u * d) + d - 1 do
-      let v = adj.(p) in
-      if Bytes.get seen v = '\000' then begin
-        Bytes.set seen v '\001';
-        queue.(!tail) <- v;
-        incr tail
-      end
+      (* p < n·d = length adj, and v < n = length seen: Graph checks
+         every endpoint when it builds the rows *)
+      let v = Array.unsafe_get adj p in
+      let t = !tail in
+      (* t <= n <= length queue, so the slot is below both *)
+      Array.unsafe_set queue (t - Bool.to_int (t = n)) v;
+      tail := t + 1 - Char.code (Bytes.unsafe_get seen v);
+      Bytes.unsafe_set seen v '\001'
     done
   done;
   !tail = n

@@ -179,7 +179,8 @@ let graph_digest g =
    build pins how many draws the pairing, the repair and the restarts
    consumed.  (50, 20) repairs heavily; (10, 3) and (12, 5) are small
    enough to restart; (8, 7) can only end as K_8 and (50, 30) is dense,
-   so both lean on the repair's rejections. *)
+   so both lean on the repair's rejections.  (2^18, 8) is the
+   closed-expander benchmark's size. *)
 let test_random_regular_golden () =
   List.iter
     (fun (n, d, seed, digest, next) ->
@@ -196,6 +197,7 @@ let test_random_regular_golden () =
       (12, 5, 3, "9ff0e9b94b544130ec04694bdf48cbdb", -8212947087056445887L);
       (12, 5, 11, "006730156e68aeee7ca0ffab0ddbf163", -1712415665580914381L);
       (1 lsl 14, 8, 2015, "6b60eadb19b9be529f547fde5b1d8e5b", 3695332237373117623L);
+      (1 lsl 18, 8, 7, "32e86b6915958087c8a0fcf8caeda8bf", 2734573507166251565L);
       (8, 7, 1, "4b9536acbbbfbd1add7a7683ace531d6", 9190408975747539360L);
       (8, 7, 2, "557a019dcbbce41a99daf394dd171d5e", 5516926183006936410L);
       (50, 30, 1, "9915c44bb096d60d2f98acabff490b90", 4825352780376982854L);

@@ -77,12 +77,13 @@ let test_of_ends () =
 (* [of_rows] adopts rows that [fill_rows] laid out and runs [of_edges]'
    checks, with the same texts, counting degrees in the row cursor. *)
 let test_of_rows () =
-  let build n a =
+  let build ?marked n a =
     let ends = ends_of a in
     let d = Array.length a / n in
     let adj = Array.make (n * d) (-1) and cursor = Array.make n 0 in
     Graphs.Graph.fill_rows ~degree:d ends adj cursor;
-    Graphs.Graph.of_rows ~n ends adj ~cursor
+    let marked = Option.value marked ~default:(Bytes.make n '\000') in
+    Graphs.Graph.of_rows ~n ends adj ~cursor ~marked
   in
   let g = build 3 [| 0; 1; 1; 2; 2; 0 |] in
   let g' = Graphs.Graph.of_edges ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
@@ -90,6 +91,13 @@ let test_of_rows () =
   Alcotest.(check (array (pair int int))) "edges" (Graphs.Graph.edges g') (Graphs.Graph.edges g);
   Alcotest.check_raises "self-edge" (Invalid_argument "Graph.of_edges: self-edges are not allowed")
     (fun () -> ignore (build 2 [| 1; 1 |]));
+  Alcotest.check_raises "self-edge, marked" (Invalid_argument "Graph.of_edges: self-edges are not allowed")
+    (fun () -> ignore (build ~marked:(Bytes.make 2 '\001') 2 [| 0; 1; 1; 1 |]));
+  Alcotest.check_raises "out of range" (Invalid_argument "Graph.of_edges: endpoint out of range")
+    (fun () ->
+      ignore
+        (Graphs.Graph.of_rows ~n:2 (ends_of [| 0; 1; 1; 2 |]) (Array.make 2 0)
+           ~cursor:(Array.make 2 0) ~marked:(Bytes.make 2 '\001')));
   Alcotest.check_raises "irregular"
     (Invalid_argument "Graph.of_edges: not regular (node 1 has degree 2, node 0 has 3)")
     (fun () -> ignore (build 4 [| 0; 1; 1; 2; 2; 0; 3; 0 |]));
@@ -97,12 +105,37 @@ let test_of_rows () =
     (fun () ->
       ignore
         (Graphs.Graph.of_rows ~n:3 (ends_of [| 0; 1; 2 |]) (Array.make 3 0)
-           ~cursor:(Array.make 3 0)));
+           ~cursor:(Array.make 3 0) ~marked:(Bytes.make 3 '\000')));
   Alcotest.check_raises "short cursor" (Invalid_argument "Graph.of_rows: cursor is not n long")
     (fun () ->
       ignore
         (Graphs.Graph.of_rows ~n:3 (ends_of [| 0; 1; 1; 2; 2; 0 |]) (Array.make 6 0)
-           ~cursor:(Array.make 2 0)))
+           ~cursor:(Array.make 2 0) ~marked:(Bytes.make 3 '\000')));
+  Alcotest.check_raises "short marks" (Invalid_argument "Graph.of_rows: marks are not n long")
+    (fun () ->
+      ignore
+        (Graphs.Graph.of_rows ~n:3 (ends_of [| 0; 1; 1; 2; 2; 0 |]) (Array.make 6 0)
+           ~cursor:(Array.make 3 0) ~marked:(Bytes.make 2 '\000')))
+
+(* A marked row may hold anything: the one pass re-lays it in edge
+   order.  An unmarked row is adopted as it stands. *)
+let test_of_rows_marked () =
+  let k4 = [ (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3) ] in
+  let ends = ends_of (Array.of_list (List.concat_map (fun (u, v) -> [ u; v ]) k4)) in
+  let expected = Graphs.Graph.adjacency (Graphs.Graph.of_edges ~n:4 k4) in
+  let adj = Array.copy expected in
+  (* rows 1 and 3 scrambled and marked, row 2 reversed and unmarked *)
+  Array.blit [| -1; 7; 0 |] 0 adj 3 3;
+  Array.blit [| 2; 2; 2 |] 0 adj 9 3;
+  Array.blit [| expected.(8); expected.(7); expected.(6) |] 0 adj 6 3;
+  let marked = Bytes.of_string "\000\001\000\001" in
+  let g = Graphs.Graph.of_rows ~n:4 ends adj ~cursor:(Array.make 4 5) ~marked in
+  let got = Graphs.Graph.adjacency g in
+  Alcotest.(check (array int)) "marked rows re-laid" (Array.sub expected 3 3) (Array.sub got 3 3);
+  Alcotest.(check (array int)) "row 3" (Array.sub expected 9 3) (Array.sub got 9 3);
+  Alcotest.(check (array int)) "row 0 kept" (Array.sub expected 0 3) (Array.sub got 0 3);
+  Alcotest.(check (array int)) "unmarked row 2 kept as it stood"
+    [| expected.(8); expected.(7); expected.(6) |] (Array.sub got 6 3)
 
 (* A node id is stored in a 32-bit slot.  One outside [0, 2^31) raises
    the range error through [of_edges] and [Graph.set_end], and never
@@ -339,6 +372,33 @@ let test_is_connected () =
     (Invalid_argument "Props.is_connected: queue shorter than n") (fun () ->
       ignore (Graphs.Props.is_connected ~queue:(Array.make 5 0) hexagon))
 
+(* The BFS writes every neighbour at the queue's tail, marked or not,
+   and needs no slot beyond n.  These are the cases that shape gets
+   wrong first, each with a lent queue of exactly n slots: in K_n the
+   first row queues every node, so every later write lands on the last
+   slot; a cycle fills the queue one node a row; and two components
+   whose unreached one holds the highest ids must not count any of
+   them. *)
+let test_is_connected_exact_queue () =
+  let exact g = Array.make (Graphs.Graph.n g) (Graphs.Graph.n g - 1) in
+  List.iter
+    (fun (name, g, want) ->
+      check_bool name want (Graphs.Props.is_connected g);
+      check_bool (name ^ ", queue of n slots") want (Graphs.Props.is_connected ~queue:(exact g) g))
+    [
+      ("K_9", Graphs.Gen.complete 9, true);
+      ("K_2", Graphs.Gen.complete 2, true);
+      ("cycle 11", Graphs.Gen.cycle 11, true);
+      ( "square + triangle on the top ids",
+        Graphs.Graph.of_edges ~n:7 [ (0, 1); (1, 2); (2, 3); (3, 0); (4, 5); (5, 6); (6, 4) ],
+        false );
+      ( "K_4 + K_4 on the top ids",
+        Graphs.Graph.of_edges ~n:8
+          [ (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3);
+            (4, 5); (4, 6); (4, 7); (5, 6); (5, 7); (6, 7) ],
+        false );
+    ]
+
 let test_diameter_known () =
   check_int "cycle 8" 4 (Graphs.Props.diameter (Graphs.Gen.cycle 8));
   check_int "cycle 9" 4 (Graphs.Props.diameter (Graphs.Gen.cycle 9));
@@ -501,6 +561,7 @@ let () =
           Alcotest.test_case "endpoint range" `Quick test_endpoint_range;
           Alcotest.test_case "node count range" `Quick test_node_count_range;
           Alcotest.test_case "of_rows" `Quick test_of_rows;
+          Alcotest.test_case "of_rows re-lays marked rows" `Quick test_of_rows_marked;
           Alcotest.test_case "multigraph reverse ports" `Quick
             test_multigraph_reverse_ports;
           Alcotest.test_case "reverse port involution" `Quick
@@ -535,6 +596,7 @@ let () =
         [
           Alcotest.test_case "bfs distances" `Quick test_bfs_distances_cycle;
           Alcotest.test_case "connected" `Quick test_is_connected;
+          Alcotest.test_case "connected, queue of n slots" `Quick test_is_connected_exact_queue;
           Alcotest.test_case "diameter" `Quick test_diameter_known;
           Alcotest.test_case "bipartite" `Quick test_bipartite_known;
           Alcotest.test_case "girth" `Quick test_girth_known;

@@ -194,6 +194,10 @@ let reject_fixtures =
       "let main = scenario {\n  graph cycle(8)\n  init point(8)\n  balancer \
        rotor-router self-loops(2)\n  rounds 9\n  dist { shards 3 }\n}\n",
       4, 3, "balancer name only" );
+    ( "mimic on a lossy net with degradation off",
+      "let main = scenario {\n  graph torus(16, 16)\n  init point(4096)\n  balancer \
+       mimic\n  steps 100\n  net { drop 0.3 staleness 1 degrade off }\n}\n",
+      4, 3, "mimic balancer is closed-system and fault-free only" );
     ( "algo-seed on a deterministic scheme",
       "let main = scenario {\n  graph cycle(8)\n  init point(8)\n  balancer \
        rotor-router algo-seed(3)\n  steps 5\n}\n",
